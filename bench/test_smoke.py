@@ -1,0 +1,15 @@
+"""The benchmark's own test: every workload, tiny, in both modes."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+RUN = Path(__file__).resolve().parent / "run.py"
+
+
+def test_smoke_prints_every_metric_with_its_unit():
+    proc = subprocess.run([sys.executable, str(RUN), "--smoke"], capture_output=True,
+                          text=True, timeout=170)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert proc.stdout.rstrip().endswith("smoke PASS")
+    assert proc.stdout.count("failed_frac ") == 8
