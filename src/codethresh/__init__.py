@@ -11,11 +11,8 @@ from .errors import BudgetError, DomainError, ValidationError
 from .levels import LevelProfile, LevelSetParams, level_profile, p_ell, t_star
 from .qmath import (
     EntropyValue,
-    LogReal,
     entropy_q,
     kl_q,
-    log_multinomial,
-    log_sum,
     multinomial_exact,
     q_ary_entropy,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "ImpliedTypeScan",
     "LevelProfile",
     "LevelSetParams",
-    "LogReal",
     "RandomCodeSpec",
     "SweepReport",
     "SweepRow",
@@ -81,8 +77,6 @@ __all__ = [
     "kl_q",
     "level_profile",
     "list_of_two_rc_threshold",
-    "log_multinomial",
-    "log_sum",
     "multinomial_exact",
     "p_ell",
     "perfect_hashing_threshold",

@@ -130,20 +130,21 @@ def _cmd_sweep(args) -> tuple[Any, list[str], list[list[Any]]]:
 def _cmd_levelsets(args) -> tuple[Any, list[str], list[list[Any]]]:
     params = LevelSetParams(args.q, args.ell, args.L)
     profile = level_profile(params)
-    if profile.exact and profile.counts is not None:
-        counts: list[Any] = [str(c) for c in profile.counts]
-    else:
-        counts = [None] * (params.L + 1)
+    try:
+        counts = [str(c) for c in profile.counts]
+    except ValueError as exc:  # the interpreter's cap on int -> str digits
+        raise BudgetError(
+            f"level counts for q={params.q}, L={params.L} exceed the limit of "
+            f"{sys.get_int_max_str_digits()} digits per printed integer"
+        ) from exc
     results = {
         "q": params.q,
         "ell": params.ell,
         "L": params.L,
         "counts": counts,
         "t_star": profile.t_star,
-        "exact": profile.exact,
+        "exact": True,
     }
-    if not profile.exact:
-        results["log_counts"] = list(profile.log_counts)
     header = ["q", "ell", "L", "d", "count", "t_star"]
     rows = [
         [params.q, params.ell, params.L, d, counts[d], profile.t_star]

@@ -10,15 +10,12 @@ vectors with P_ell(v) = d, and
 is the expected penalty of a uniform vector.  Everything later (the dual
 solver, the zero-rate regime test, the oracle) consumes these counts.
 
-Counts are computed by enumerating histograms (compositions of L into q
-nonnegative parts) and weighting each by its multinomial; only q^L <= 2^256
-profiles are kept as exact integers, larger ones fall back to base-q
-log-domain sums and are flagged approximate.
+The level of v depends only on its sorted histogram, a partition of L into
+at most q parts, so counts are exact integers accumulated over partitions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,15 +23,11 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import BudgetError, ValidationError
-from .qmath import LogReal, log_multinomial, log_sum
 
 __all__ = ["LevelSetParams", "LevelProfile", "p_ell", "level_profile", "t_star"]
 
-#: Profiles with q^L beyond this stay in the log domain.
-EXACT_COUNT_LIMIT = 2**256
-
-#: Refuse composition enumerations larger than this many histograms.
-COMPOSITION_BUDGET = 20_000_000
+#: Refuse profiles that need more than this many partitions.
+PARTITION_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -60,17 +53,14 @@ class LevelSetParams:
 class LevelProfile:
     """Cardinalities |D_d| for d = 0..L plus the uniform expectation t*.
 
-    ``counts`` holds exact integers when ``exact`` is true and is None
-    otherwise; ``log_counts`` always holds base-q logarithms of the
-    cardinalities (-inf marking empty levels), so downstream consumers can
-    be oblivious to which regime produced the profile.
+    ``counts`` holds the exact integers; ``log_counts`` holds their base-q
+    logarithms (-inf marking empty levels) for the floating-point solver.
     """
 
     params: LevelSetParams
-    counts: tuple[int, ...] | None
+    counts: tuple[int, ...]
     log_counts: tuple[float, ...]
     t_star: float
-    exact: bool
 
 
 def p_ell(v: Sequence[int], ell: int, q: int) -> int:
@@ -90,77 +80,72 @@ def p_ell(v: Sequence[int], ell: int, q: int) -> int:
     return len(v) - covered
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for b in (*bars, total + parts - 1):
-            out.append(b - prev - 1)
-            prev = b
-        yield tuple(out)
+def _partition_count(L: int, q: int) -> int:
+    """Number of partitions of L into at most q parts.
+
+    By conjugation these are the partitions into parts of size at most q,
+    counted by the usual coin-change recurrence in O(L * q).
+    """
+    ways = [1] + [0] * L
+    for part in range(1, min(q, L) + 1):
+        for n in range(part, L + 1):
+            ways[n] += ways[n - part]
+    return ways[L]
 
 
 @lru_cache(maxsize=128)
 def level_profile(params: LevelSetParams) -> LevelProfile:
-    """Count each level set by histogram enumeration.
+    """Count each level set by partition enumeration.
 
-    Every vector with histogram eta contributes multinomial(L; eta) words
-    to level L - (sum of the ell largest entries of eta); enumerating
-    compositions of L into q parts therefore covers Sigma^L exactly once.
+    A partition lambda of L with k <= q nonzero parts, m_j of them equal
+    to j, is the sorted histogram of
+
+        multinomial(L; lambda) * q! / ((q - k)! * prod_j m_j!)
+
+    vectors, all at level L - (lambda_1 + ... + lambda_ell).  Partitions
+    are walked depth first with parts in nonincreasing order, which visits
+    them in reverse lexicographic order as Knuth's Algorithm P does (TAOCP
+    4A, 7.2.1.4).  Part i contributes the factor C(rest, lambda_i) to the
+    multinomial, and stepping lambda_i down by one updates it in place
+    with C(n, f-1) = C(n, f) * f / (n - f + 1).
     """
     q, ell, L = params.q, params.ell, params.L
-    n_comps = math.comb(L + q - 1, q - 1)
-    if n_comps > COMPOSITION_BUDGET:
+    n_parts = _partition_count(L, q)
+    if n_parts > PARTITION_BUDGET:
         raise BudgetError(
-            f"profile for q={q}, L={L} needs {n_comps} histograms, "
-            f"over the budget of {COMPOSITION_BUDGET}"
+            f"profile for q={q}, L={L} needs {n_parts} partitions, "
+            f"over the budget of {PARTITION_BUDGET}"
         )
-    exact = q**L <= EXACT_COUNT_LIMIT
-    if exact:
-        counts = [0] * (L + 1)
-        for eta in _compositions(L, q):
-            d = L - sum(sorted(eta, reverse=True)[:ell])
-            counts[d] += _multinomial(L, eta)
-        log_q = math.log(q)
-        log_counts = tuple(
-            math.log(c) / log_q if c else -math.inf for c in counts
-        )
-        ts = float(
-            Fraction(sum(d * c for d, c in enumerate(counts)), q**L)
-        )
-        return LevelProfile(params, tuple(counts), log_counts, ts, True)
+    counts = [0] * (L + 1)
 
-    # Log-domain fallback: same enumeration, multinomials summed per level
-    # as base-q LogReals.
-    buckets: list[list[LogReal]] = [[] for _ in range(L + 1)]
-    for eta in _compositions(L, q):
-        d = L - sum(sorted(eta, reverse=True)[:ell])
-        buckets[d].append(log_multinomial(L, eta, base=q))
-    sums = [log_sum(b, base=q) for b in buckets]
-    log_counts = tuple(-math.inf if s.is_zero else s.log_value for s in sums)
-    ts = math.fsum(
-        d * q ** (lc - L) for d, lc in enumerate(log_counts) if lc != -math.inf
-    )
-    return LevelProfile(params, None, log_counts, ts, False)
+    def walk(depth: int, rest: int, cap: int, run: int, weight: int, covered: int) -> None:
+        # ``depth`` parts are placed, the last equal to ``cap`` and ending a
+        # run of ``run`` equal parts; ``weight`` is their multinomial prefix
+        # times their arrangements over q symbols; ``rest`` is still to place.
+        slots = q - depth
+        top = min(cap, rest)
+        binom = math.comb(rest, top) if top < rest else 1
+        for f in range(top, -(-rest // slots) - 1, -1):
+            r = run + 1 if f == cap else 1
+            w = weight * binom * slots // r
+            c = covered + f if depth < ell else covered
+            if f == rest:
+                counts[L - c] += w
+            else:
+                walk(depth + 1, rest - f, f, r, w, c)
+            binom = binom * f // (rest - f + 1)
+
+    walk(0, L, L, 0, 1, 0)
+    log_q = math.log(q)
+    log_counts = tuple(math.log(c) / log_q if c else -math.inf for c in counts)
+    return LevelProfile(params, tuple(counts), log_counts, _mean_level(counts, q))
 
 
-def _multinomial(L: int, parts: Sequence[int]) -> int:
-    out = math.factorial(L)
-    for x in parts:
-        out //= math.factorial(x)
-    return out
+def _mean_level(counts: Sequence[int], q: int) -> float:
+    total = sum(d * c for d, c in enumerate(counts))
+    return float(Fraction(total, q ** (len(counts) - 1)))
 
 
 def t_star(profile: LevelProfile) -> float:
     """Uniform expectation of P_ell, recomputed from the profile's counts."""
-    q, L = profile.params.q, profile.params.L
-    if profile.exact and profile.counts is not None:
-        return float(
-            Fraction(sum(d * c for d, c in enumerate(profile.counts)), q**L)
-        )
-    return math.fsum(
-        d * q ** (lc - L)
-        for d, lc in enumerate(profile.log_counts)
-        if lc != -math.inf
-    )
+    return _mean_level(profile.counts, profile.params.q)

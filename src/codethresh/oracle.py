@@ -10,7 +10,8 @@ solver.  Three references are provided:
   subject to sum_d d mu[d] <= pL, either by scanning exponential-family
   candidates over a dense multiplier grid or, fully shape-agnostic, by
   projected pairwise coordinate ascent from random simplex starts;
-* level-set counts by direct bucketing of all q^L vectors;
+* level-set counts by direct bucketing of all q^L vectors, and by
+  weighting every composition of L into q parts with its multinomial;
 * badness of a column tuple by exhausting every K-set assignment.
 """
 
@@ -24,12 +25,14 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .levels import LevelProfile, LevelSetParams
+from .qmath import multinomial_exact
 
 __all__ = [
     "beta_levelspace_oracle",
     "beta_ascent_oracle",
     "brute_force_badness",
     "brute_force_level_counts",
+    "composition_level_counts",
 ]
 
 _GRID_CHUNK = 65_536
@@ -266,3 +269,19 @@ def brute_force_level_counts(params: LevelSetParams) -> tuple[int, ...]:
     d = L - top
     hist = np.bincount(d, minlength=L + 1)
     return tuple(int(x) for x in hist)
+
+
+def composition_level_counts(params: LevelSetParams) -> tuple[int, ...]:
+    """Level-set counts from every histogram: the compositions of L into q parts.
+
+    Each histogram eta contributes multinomial(L; eta) vectors to level
+    L - (sum of the ell largest entries of eta).  Compositions are read off
+    the q - 1 bar positions among L + q - 1 slots (stars and bars).
+    """
+    q, ell, L = params.q, params.ell, params.L
+    counts = [0] * (L + 1)
+    for bars in itertools.combinations(range(L + q - 1), q - 1):
+        edges = (-1, *bars, L + q - 1)
+        eta = [b - a - 1 for a, b in zip(edges, edges[1:])]
+        counts[L - sum(sorted(eta, reverse=True)[:ell])] += multinomial_exact(L, eta)
+    return tuple(counts)

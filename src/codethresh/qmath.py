@@ -1,4 +1,4 @@
-"""Base-q entropies, KL divergence, and log-domain arithmetic.
+"""Base-q entropies, KL divergence, and exact multinomials.
 
 Everything downstream measures information in base-q units:
 
@@ -7,107 +7,27 @@ Everything downstream measures information in base-q units:
     D_q(s||r) = s log_q(s/r) + (1-s) log_q((1-s)/(1-r))
 
 with the convention 0 log 0 = 0 throughout, and KL extended continuously
-at s = 0 and s = 1.  Level-set cardinalities are handled as exact Python
-integers where feasible and as base-q logarithms (LogReal) beyond that.
+at s = 0 and s = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ValidationError
 
 __all__ = [
-    "LogReal",
     "EntropyValue",
     "entropy_q",
     "q_ary_entropy",
     "kl_q",
     "multinomial_exact",
-    "log_multinomial",
-    "log_sum",
 ]
 
 #: Distributions must sum to 1 within this absolute slack.
 NORMALIZATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LogReal:
-    """A nonnegative real stored as the base-`base` logarithm of its magnitude.
-
-    ``is_zero`` marks an exact zero; consumers must ignore ``log_value``
-    in that case.  Addition and multiplication stay in the log domain, so
-    quantities like q^300 survive where floats would overflow.
-    """
-
-    log_value: float
-    base: float
-    is_zero: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.base > 1.0:
-            raise ValidationError(f"LogReal base must exceed 1, got {self.base}")
-
-    @classmethod
-    def zero(cls, base: float) -> "LogReal":
-        return cls(0.0, base, is_zero=True)
-
-    @classmethod
-    def from_value(cls, x: float, base: float) -> "LogReal":
-        if not base > 1.0:
-            raise ValidationError(f"LogReal base must exceed 1, got {base}")
-        if x < 0:
-            raise DomainError(f"LogReal represents nonnegative reals, got {x}")
-        if x == 0:
-            return cls.zero(base)
-        return cls(math.log(x) / math.log(base), base)
-
-    def to_float(self) -> float:
-        if self.is_zero:
-            return 0.0
-        return float(self.base) ** self.log_value
-
-    def _check_base(self, other: "LogReal") -> None:
-        if self.base != other.base:
-            raise ValidationError(
-                f"mixed LogReal bases {self.base} and {other.base}"
-            )
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        self._check_base(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        hi, lo = self.log_value, other.log_value
-        if lo > hi:
-            hi, lo = lo, hi
-        # log_b(b^hi + b^lo) = hi + log_b(1 + b^(lo-hi))
-        bump = math.log1p(self.base ** (lo - hi)) / math.log(self.base)
-        return LogReal(hi + bump, self.base)
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        self._check_base(other)
-        if self.is_zero or other.is_zero:
-            return LogReal.zero(self.base)
-        return LogReal(self.log_value + other.log_value, self.base)
-
-
-def log_sum(terms: Iterable[LogReal], base: float) -> LogReal:
-    """Sum LogReals of a common base, factoring out the max term.
-
-    One max-factored pass is numerically gentler than chained pairwise
-    adds when terms span many orders of magnitude.
-    """
-    logs = [t.log_value for t in terms if not t.is_zero]
-    if not logs:
-        return LogReal.zero(base)
-    hi = max(logs)
-    acc = math.fsum(base ** (lv - hi) for lv in logs)
-    return LogReal(hi + math.log(acc) / math.log(base), base)
 
 
 @dataclass(frozen=True)
@@ -172,26 +92,15 @@ def kl_q(s: float, r: float, q: int) -> float:
     return out
 
 
-def _check_parts(L: int, parts: Sequence[int]) -> None:
+def multinomial_exact(L: int, parts: Sequence[int]) -> int:
+    """L! / prod(parts_i!) as an exact integer."""
     if any(x < 0 for x in parts):
         raise ValidationError("multinomial parts must be nonnegative")
     if sum(parts) != L:
         raise ValidationError(
             f"multinomial parts sum to {sum(parts)}, expected {L}"
         )
-
-
-def multinomial_exact(L: int, parts: Sequence[int]) -> int:
-    """L! / prod(parts_i!) as an exact integer."""
-    _check_parts(L, parts)
     out = math.factorial(L)
     for x in parts:
         out //= math.factorial(x)
     return out
-
-
-def log_multinomial(L: int, parts: Sequence[int], base: float = 2.0) -> LogReal:
-    """The multinomial coefficient as a LogReal, via lgamma."""
-    _check_parts(L, parts)
-    lv = math.lgamma(L + 1) - math.fsum(math.lgamma(x + 1) for x in parts)
-    return LogReal(lv / math.log(base), base)

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -157,3 +158,31 @@ def test_verify_quick_passes(capsys):
         "dp_vs_brute_force",
     }
     assert all(r["status"] == "PASS" for r in rows)
+
+
+def test_levelsets_counts_too_long_to_print_exit_1(capsys):
+    # |D_d| at q=2, L=15000 reaches 4,516 digits, past the interpreter's
+    # default cap of 4,300 on int -> str; the profile itself still serves
+    # threshold and sweep.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = _capture(
+            capsys, ["levelsets", "--q", "2", "--ell", "1", "--L", "15000"]
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == ""
+    assert err.startswith("budget exceeded:") and err.count("\n") == 1
+
+    code, out, _ = _capture(
+        capsys, ["threshold", "--q", "2", "--ell", "1", "--L", "15000", "--p", "0.1"]
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["r_star"] == pytest.approx(0.530937739744, abs=1e-6)
+    code, out, _ = _capture(
+        capsys, ["sweep", "--q", "2", "--ell", "1", "--L", "15000",
+                 "--p-min", "0.1", "--p-max", "0.2", "--p-step", "0.1"]
+    )
+    assert code == 0
+    assert len(json.loads(out)["results"]["rows"]) == 2

@@ -1,4 +1,4 @@
-"""Level-set profiles: P_ell, composition enumeration, t*."""
+"""Level-set profiles: P_ell, partition enumeration, t*."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from codethresh.errors import BudgetError, ValidationError
 from codethresh.levels import LevelSetParams, LevelProfile, level_profile, p_ell, t_star
+from codethresh.oracle import composition_level_counts
 
 # (q, ell, L) -> (counts, t_star); counts enumerated independently
 FROZEN_PROFILES = {
@@ -77,7 +78,6 @@ def test_p_ell_matches_direct_minimum(case):
 def test_frozen_profiles():
     for (q, ell, L), (counts, ts) in FROZEN_PROFILES.items():
         profile = level_profile(LevelSetParams(q, ell, L))
-        assert profile.exact
         assert profile.counts == counts
         assert profile.t_star == pytest.approx(ts, abs=1e-15)
 
@@ -114,14 +114,30 @@ def test_level_zero_never_empty():
             assert profile.counts[0] >= q
 
 
-def test_large_L_falls_back_to_log_domain():
+def test_large_L_counts_stay_exact():
     profile = level_profile(LevelSetParams(2, 1, 300))
-    assert not profile.exact
-    assert profile.counts is None
     # D_0 = {two constant vectors}: log_2 2 = 1
-    assert profile.log_counts[0] == pytest.approx(1.0, abs=1e-12)
+    assert profile.counts[0] == 2
+    assert profile.log_counts[0] == 1.0
+    assert sum(profile.counts) == 2**300
+    assert len(profile.counts) == len(profile.log_counts) == 301
     assert 0.0 < profile.t_star < 150.0
-    assert len(profile.log_counts) == 301
+    total = sum(d * c for d, c in enumerate(profile.counts))
+    assert profile.t_star == float(Fraction(total, 2**300))
+
+
+def test_counts_match_composition_oracle():
+    # every profile with at most 1e4 compositions for q <= 8, L <= 400,
+    # plus two large-L profiles
+    points = [(3, 1, 300), (2, 1, 2000)]
+    for q in range(2, 9):
+        for L in range(2, 401):
+            if math.comb(L + q - 1, q - 1) <= 10**4:
+                points.extend((q, ell, L) for ell in range(1, q))
+    assert len(points) == 1020
+    for q, ell, L in points:
+        params = LevelSetParams(q, ell, L)
+        assert level_profile(params).counts == composition_level_counts(params), (q, ell, L)
 
 
 def test_composition_budget_error():

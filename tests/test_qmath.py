@@ -1,71 +1,13 @@
-"""Log-domain arithmetic, entropies, divergences, multinomials."""
+"""Entropies, divergences, exact multinomials."""
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codethresh.errors import DomainError, ValidationError
-from codethresh.qmath import (
-    LogReal,
-    entropy_q,
-    kl_q,
-    log_multinomial,
-    log_sum,
-    multinomial_exact,
-    q_ary_entropy,
-)
-
-
-def test_logreal_roundtrip_and_identity_elements():
-    x = LogReal.from_value(12.5, 2.0)
-    assert x.to_float() == pytest.approx(12.5, rel=1e-14)
-    zero = LogReal.zero(2.0)
-    assert zero.is_zero and zero.to_float() == 0.0
-    assert (zero + x).to_float() == pytest.approx(12.5, rel=1e-14)
-    assert (zero * x).is_zero
-    assert (x * LogReal.from_value(1.0, 2.0)).to_float() == pytest.approx(12.5, rel=1e-14)
-
-
-def test_logreal_rejects_mixed_bases_and_negatives():
-    with pytest.raises(ValidationError):
-        LogReal.from_value(2.0, 2.0) + LogReal.from_value(2.0, 10.0)
-    with pytest.raises(DomainError):
-        LogReal.from_value(-1.0, 2.0)
-    with pytest.raises(ValidationError):
-        LogReal.from_value(1.0, 1.0)
-
-
-@given(
-    st.lists(st.fractions(min_value=0, max_value=1000, max_denominator=64), min_size=1, max_size=8)
-)
-@settings(max_examples=200, deadline=None)
-def test_logreal_sum_matches_exact_rationals(values):
-    terms = [LogReal.from_value(float(v), 2.0) for v in values]
-    total = log_sum(terms, 2.0)
-    exact = sum(values, Fraction(0))
-    if exact == 0:
-        assert total.is_zero
-    else:
-        assert total.log_value == pytest.approx(math.log2(exact), abs=1e-12)
-
-
-@given(
-    st.fractions(min_value=0, max_value=1000, max_denominator=64),
-    st.fractions(min_value=0, max_value=1000, max_denominator=64),
-)
-@settings(max_examples=200, deadline=None)
-def test_logreal_product_matches_exact_rationals(a, b):
-    prod = LogReal.from_value(float(a), 2.0) * LogReal.from_value(float(b), 2.0)
-    exact = a * b
-    if exact == 0:
-        assert prod.is_zero
-    else:
-        assert prod.log_value == pytest.approx(math.log2(exact), abs=1e-12)
+from codethresh.qmath import entropy_q, kl_q, multinomial_exact, q_ary_entropy
 
 
 def test_entropy_uniform_and_point_mass():
@@ -124,18 +66,3 @@ def test_multinomial_exact_small_cases():
     assert multinomial_exact(4, (1, 1, 1, 1)) == 24
     with pytest.raises(ValidationError):
         multinomial_exact(4, (3, 2))
-
-
-@given(
-    st.integers(min_value=1, max_value=40).flatmap(
-        lambda L: st.lists(st.integers(min_value=0, max_value=L), min_size=1, max_size=6).filter(
-            lambda parts: sum(parts) <= L
-        ).map(lambda parts: (L, tuple(parts) + (L - sum(parts),)))
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_log_multinomial_matches_exact(case):
-    L, parts = case
-    exact = multinomial_exact(L, parts)
-    approx = log_multinomial(L, parts, base=2.0)
-    assert approx.log_value == pytest.approx(math.log2(exact), abs=1e-9)

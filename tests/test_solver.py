@@ -208,6 +208,20 @@ def test_kl_estimate_tracks_exact_threshold_at_moderate_L():
                 assert abs(exact - est) <= 0.70 * band, (q, ell, L, p)
 
 
+def test_kl_estimate_converges_at_larger_q_and_L():
+    # Criterion 11's rule (errors fall in L and stay within 0.21 q ln(L) / L)
+    # at q = 8 and at L = 128; (8, 1, 64) alone has 1.1e9 compositions.
+    for q, Ls in ((8, (8, 16, 32, 64)), (2, (64, 128)), (4, (64, 128))):
+        p = 0.5 * (1.0 - 1.0 / q)
+        errors = []
+        for L in Ls:
+            query = ThresholdQuery(p, 1, L, q, epsilon=1e-9)
+            err = abs(threshold_rate(query).r_star - kl_estimate(query)[0])
+            assert err <= 0.21 * q * math.log(L) / L, (q, L, err)
+            errors.append(err)
+        assert all(a > b for a, b in zip(errors, errors[1:])), (q, errors)
+
+
 @given(st.floats(min_value=1e-4, max_value=0.2399))
 @settings(max_examples=150, deadline=None)
 def test_bisection_matches_list_of_two_closed_form(p):
