@@ -29,6 +29,10 @@ __all__ = ["LevelSetParams", "LevelProfile", "p_ell", "level_profile", "t_star"]
 #: Refuse profiles that need more than this many partitions.
 PARTITION_BUDGET = 20_000_000
 
+#: Refuse profiles whose counts could take more than this many bits; each of
+#: the L + 1 counts is at most q^L, so (L + 1) * L * log2(q) bits bound them.
+COUNT_BITS_BUDGET = 2**28
+
 
 @dataclass(frozen=True)
 class LevelSetParams:
@@ -55,12 +59,14 @@ class LevelProfile:
 
     ``counts`` holds the exact integers; ``log_counts`` holds their base-q
     logarithms (-inf marking empty levels) for the floating-point solver.
+    ``penalty_sum`` is the exact sum_d d * |D_d|, so t* = penalty_sum / q^L.
     """
 
     params: LevelSetParams
     counts: tuple[int, ...]
     log_counts: tuple[float, ...]
     t_star: float
+    penalty_sum: int
 
 
 def p_ell(v: Sequence[int], ell: int, q: int) -> int:
@@ -110,6 +116,12 @@ def level_profile(params: LevelSetParams) -> LevelProfile:
     with C(n, f-1) = C(n, f) * f / (n - f + 1).
     """
     q, ell, L = params.q, params.ell, params.L
+    bits = (L + 1) * L * math.log2(q)
+    if bits > COUNT_BITS_BUDGET:
+        raise BudgetError(
+            f"profile for q={q}, L={L} may hold {bits:.3g} bits of counts, "
+            f"over the budget of {COUNT_BITS_BUDGET}"
+        )
     n_parts = _partition_count(L, q)
     if n_parts > PARTITION_BUDGET:
         raise BudgetError(
@@ -138,14 +150,16 @@ def level_profile(params: LevelSetParams) -> LevelProfile:
     walk(0, L, L, 0, 1, 0)
     log_q = math.log(q)
     log_counts = tuple(math.log(c) / log_q if c else -math.inf for c in counts)
-    return LevelProfile(params, tuple(counts), log_counts, _mean_level(counts, q))
+    total = _penalty_sum(counts)
+    t_mean = float(Fraction(total, q**L))
+    return LevelProfile(params, tuple(counts), log_counts, t_mean, total)
 
 
-def _mean_level(counts: Sequence[int], q: int) -> float:
-    total = sum(d * c for d, c in enumerate(counts))
-    return float(Fraction(total, q ** (len(counts) - 1)))
+def _penalty_sum(counts: Sequence[int]) -> int:
+    return sum(d * c for d, c in enumerate(counts))
 
 
 def t_star(profile: LevelProfile) -> float:
     """Uniform expectation of P_ell, recomputed from the profile's counts."""
-    return _mean_level(profile.counts, profile.params.q)
+    counts, q = profile.counts, profile.params.q
+    return float(Fraction(_penalty_sum(counts), q ** (len(counts) - 1)))

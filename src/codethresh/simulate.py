@@ -16,9 +16,11 @@ patterns matter: every size-ell set K induces the same pattern as its
 intersection with the symbols actually present, so at most
 C(min(q, L), ell) transitions are enumerated instead of C(q, ell).
 
-Whole-code checks enumerate L-subsets, with a Hamming-distance pre-filter
-in the ell = 1 case: columns jointly coverable within radius b must be
-pairwise within 2b, so only cliques of the closeness graph are checked.
+Codes are lexicographically sorted (M, n) symbol arrays.  For ell = 1,
+columns jointly coverable within radius b are pairwise within 2b, so only
+cliques of the closeness graph are checked: row by row, each row against
+the later rows, growing cliques in lexicographic order and returning at
+the first bad tuple.  Other ell enumerate plain L-subsets.
 """
 
 from __future__ import annotations
@@ -129,28 +131,25 @@ def trial_seed(base_seed: int, n: int, rate: float, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _decode_words(indices: np.ndarray, q: int, n: int) -> list[tuple[int, ...]]:
-    words = []
-    for idx in indices:
-        idx = int(idx)
-        digits = []
-        for _ in range(n):
-            idx, rem = divmod(idx, q)
-            digits.append(rem)
-        words.append(tuple(reversed(digits)))
-    return words
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct rows, sorted by their bytes."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1] * rows.itemsize
+    flat = np.unique(rows.view(np.dtype((np.void, width))).ravel())
+    return flat.view(rows.dtype).reshape(len(flat), rows.shape[1])
 
 
 def sample_random_code(
     spec: RandomCodeSpec, max_expected_size: int = DEFAULT_SIZE_CAP
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     """Draw one random code, deterministically in the seed.
 
     The count M ~ Binomial(q^n, q^{-n(1-R)}) is sampled first (exactly, for
     spaces within 64-bit range; via the Poisson limit beyond, where the
     total-variation gap is below 1e-18 at any size passing the memory cap),
-    then M distinct uniform words are drawn by rejection.  Returned sorted,
-    so the word order carries no information.
+    then M distinct uniform words are drawn by rejection.  Returned as an
+    (M, n) array of symbols with rows in lexicographic order, so the word
+    order carries no information.
     """
     n, q, rate = spec.n, spec.q, spec.rate
     space = q**n
@@ -166,20 +165,23 @@ def sample_random_code(
         m = int(rng.binomial(space, prob))
     else:
         m = int(rng.poisson(expected))
+    # Unsigned and, past one byte, big-endian: row bytes sort lexicographically.
+    dtype = np.dtype(np.uint8 if q <= 256 else ">u8")
     if m == 0:
-        return []
+        return np.empty((0, n), dtype=dtype)
 
     if space <= 1 << 22:
-        idx = rng.choice(space, size=m, replace=False)
-        return sorted(_decode_words(idx, q, n))
+        idx = np.sort(rng.choice(space, size=m, replace=False))
+        # Base-q digits, most significant first: index order is word order.
+        powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        return (idx[:, None] // powers % q).astype(dtype)
 
     # Rejection: the space dwarfs m, so collisions are rare.
-    seen: set[tuple[int, ...]] = set()
-    while len(seen) < m:
-        batch = rng.integers(0, q, size=(m - len(seen), n))
-        for row in batch:
-            seen.add(tuple(int(x) for x in row))
-    return sorted(seen)
+    words = np.empty((0, n), dtype=dtype)
+    while len(words) < m:
+        batch = rng.integers(0, q, size=(m - len(words), n))
+        words = _unique_rows(np.concatenate([words, batch], dtype=dtype, casting="unsafe"))
+    return words
 
 
 def _coverage_patterns(
@@ -273,52 +275,67 @@ def is_bad_tuple(
 # Whole-code search
 
 
-def _pairwise_close(arr: np.ndarray, q: int, threshold: int) -> list[list[int]]:
-    """Adjacency lists of codeword pairs at Hamming distance <= threshold."""
-    m, n = arr.shape
-    neighbors: list[list[int]] = [[] for _ in range(m)]
+def _code_array(code, q: int) -> np.ndarray:
+    """The code as an (M, n) integer array of distinct words over 0..q-1."""
+    if len(code) == 0:
+        return np.empty((0, 0), dtype=np.uint8)
+    try:
+        arr = np.asarray(code)
+    except ValueError as exc:
+        raise ValidationError("codewords must share a common length") from exc
+    if arr.ndim != 2 or arr.shape[1] == 0 or arr.dtype.kind not in "iu":
+        raise ValidationError("codewords must be nonempty integer words of one length")
+    if arr.min() < 0 or arr.max() >= q:
+        raise ValidationError(f"codeword symbols must lie in 0..{q - 1}")
+    if len(_unique_rows(arr)) != len(arr):
+        raise ValidationError("code must consist of distinct codewords")
+    return arr
+
+
+def _first_bad_clique(
+    arr: np.ndarray, p: float, L: int, q: int, max_subsets: int
+) -> Optional[BadnessCertificate]:
+    """First bad L-clique of the closeness graph (ell = 1), in lexicographic order.
+
+    Rows within the radius are found one row at a time, against only the
+    candidates still common to the clique, so a code whose first cliques
+    are bad costs a few row comparisons instead of all M^2 pairs.
+    """
+    n = arr.shape[1]
+    radius = 2 * math.floor(p * n)
+    packed = None
     if q == 2 and n <= 64:
-        packed = np.zeros(m, dtype=np.uint64)
-        for j in range(n):
-            packed = (packed << np.uint64(1)) | arr[:, j].astype(np.uint64)
-        chunk = max(1, (1 << 22) // max(m, 1))
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            dist = np.bitwise_count(packed[lo:hi, None] ^ packed[None, :])
-            for a, b in zip(*np.nonzero(dist <= threshold)):
-                i, j = lo + int(a), int(b)
-                if i < j:
-                    neighbors[i].append(j)
-    else:
-        chunk = max(1, (1 << 23) // max(m * n, 1))
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            dist = (arr[lo:hi, None, :] != arr[None, :, :]).sum(axis=2)
-            for a, b in zip(*np.nonzero(dist <= threshold)):
-                i, j = lo + int(a), int(b)
-                if i < j:
-                    neighbors[i].append(j)
-    return neighbors
+        packed = (arr.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(1, np.uint64)
 
+    def close(v: int, rows: np.ndarray) -> np.ndarray:
+        if packed is not None:
+            return rows[np.bitwise_count(packed[rows] ^ packed[v]) <= radius]
+        return rows[(arr[rows] != arr[v]).sum(axis=1) <= radius]
 
-def _cliques(neighbors: list[list[int]], size: int):
-    """All `size`-cliques of the closeness graph, vertices ascending."""
-    m = len(neighbors)
-    sets = [set(adj) for adj in neighbors]
+    tested = 0
 
-    def extend(prefix: list[int], common: set[int]):
-        if len(prefix) == size:
-            yield tuple(prefix)
-            return
-        for v in sorted(common):
-            yield from extend(prefix + [v], common & sets[v])
+    def extend(clique: list[int], cand: np.ndarray) -> Optional[BadnessCertificate]:
+        # ``cand``: ascending rows after the clique's last, close to all of it.
+        nonlocal tested
+        for k, w in enumerate(cand.tolist()):
+            if len(clique) + len(cand) - k < L:
+                return None
+            if len(clique) + 1 == L:
+                tested += 1
+                if tested > max_subsets:
+                    raise BudgetError(f"more than {max_subsets} candidate {L}-tuples tested")
+                cert = is_bad_tuple([arr[i].tolist() for i in clique + [w]], p, 1, q)
+            else:
+                cert = extend(clique + [w], close(w, cand[k + 1 :]))
+            if cert is not None:
+                return cert
+        return None
 
-    for v in range(m):
-        yield from extend([v], sets[v])
+    return extend([], np.arange(len(arr)))
 
 
 def contains_bad_matrix(
-    code: Sequence[Sequence[int]],
+    code: np.ndarray | Sequence[Sequence[int]],
     p: float,
     ell: int,
     L: int,
@@ -327,44 +344,31 @@ def contains_bad_matrix(
 ) -> tuple[bool, Optional[BadnessCertificate]]:
     """Whether some L distinct codewords of the code form a bad tuple.
 
-    For ell = 1 a bad tuple needs all columns within floor(p*n) of a common
-    center, hence pairwise within twice that; candidates are then cliques
-    of the closeness graph.  Other ell fall back to plain L-subset
-    enumeration.  Raises BudgetError when the candidate count would exceed
-    ``max_subsets``.
+    The code is an (M, n) array or a sequence of words.  Tuples are tried
+    in lexicographic order of row indices and the first bad one is
+    returned.  For ell = 1 only cliques of the closeness graph are tried,
+    and BudgetError is raised once more than ``max_subsets`` have been
+    tested; other ell enumerate all L-subsets, refused up front when
+    there are more than ``max_subsets``.
     """
-    words = [tuple(c) for c in code]
-    if len(set(words)) != len(words):
-        raise ValidationError("code must consist of distinct codewords")
-    m = len(words)
+    if L < 1:
+        raise ValidationError(f"L must be >= 1, got {L}")
+    arr = _code_array(code, q)
+    m = len(arr)
     if m < L:
         return False, None
-    n = len(words[0])
-    budget = math.floor(p * n)
 
     if ell == 1:
-        arr = np.array(words, dtype=np.uint8 if q <= 256 else np.int64)
-        neighbors = _pairwise_close(arr, q, 2 * budget)
-        checked = 0
-        for clique in _cliques(neighbors, L):
-            checked += 1
-            if checked > max_subsets:
-                raise BudgetError(
-                    f"more than {max_subsets} candidate {L}-tuples; "
-                    f"raise max_subsets or shrink the code"
-                )
-            cert = is_bad_tuple([words[i] for i in clique], p, ell, q)
-            if cert is not None:
-                return True, cert
-        return False, None
+        cert = _first_bad_clique(arr, p, L, q, max_subsets)
+        return cert is not None, cert
 
     total = math.comb(m, L)
     if total > max_subsets:
         raise BudgetError(
             f"{total} candidate {L}-subsets exceed the budget {max_subsets}"
         )
-    for combo in itertools.combinations(range(m), L):
-        cert = is_bad_tuple([words[i] for i in combo], p, ell, q)
+    for combo in itertools.combinations(arr.tolist(), L):
+        cert = is_bad_tuple(combo, p, ell, q)
         if cert is not None:
             return True, cert
     return False, None
@@ -387,11 +391,11 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-def _run_trial(args) -> tuple[int, bool]:
-    trial, n, rate, q, p, ell, L, seed, size_cap, subset_cap = args
+def _run_trial(args) -> bool:
+    n, rate, q, p, ell, L, seed, size_cap, subset_cap = args
     code = sample_random_code(RandomCodeSpec(n, rate, q, seed), size_cap)
     found, _ = contains_bad_matrix(code, p, ell, L, q, subset_cap)
-    return trial, found
+    return found
 
 
 def _check_sweep_budget(
@@ -460,29 +464,25 @@ def empirical_threshold_sweep(
 
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
-    rows: list[SweepRow] = []
-    crossings: dict[int, Optional[float]] = {}
-    for n in n_list:
-        fractions: list[float] = []
-        for rate in rate_grid:
-            tasks = [
-                (
-                    t, n, rate, q, p, ell, L,
-                    trial_seed(base_seed, n, rate, t),
-                    max_expected_size, max_subsets,
-                )
-                for t in range(trials)
-            ]
-            if nworkers > 1:
-                from concurrent.futures import ProcessPoolExecutor
+    points = [(n, float(rate)) for n in n_list for rate in rate_grid]
+    caps = (max_expected_size, max_subsets)
+    tasks = [
+        (n, rate, q, p, ell, L, trial_seed(base_seed, n, rate, t), *caps)
+        for n, rate in points for t in range(trials)
+    ]
+    # One pool for the whole sweep; outcomes come back in task order.
+    if nworkers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-                with ProcessPoolExecutor(max_workers=nworkers) as pool:
-                    outcomes = dict(pool.map(_run_trial, tasks, chunksize=8))
-            else:
-                outcomes = dict(map(_run_trial, tasks))
-            satisfied = sum(1 for t in range(trials) if outcomes[t])
-            fraction = satisfied / trials
-            rows.append(SweepRow(n, float(rate), trials, satisfied, fraction))
-            fractions.append(fraction)
-        crossings[n] = _interpolate_crossing(list(rate_grid), fractions)
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            found = list(pool.map(_run_trial, tasks, chunksize=8))
+    else:
+        found = list(map(_run_trial, tasks))
+    counts = [sum(found[i : i + trials]) for i in range(0, len(found), trials)]
+    rows = [SweepRow(n, rate, trials, c, c / trials) for (n, rate), c in zip(points, counts)]
+    width = len(rate_grid)
+    crossings = {
+        n: _interpolate_crossing(rate_grid, [r.fraction for r in rows[j * width :][:width]])
+        for j, n in enumerate(n_list)
+    }
     return SweepReport(tuple(rows), crossings, base_seed, time.perf_counter() - t0)

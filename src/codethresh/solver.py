@@ -132,14 +132,22 @@ class DualObjective:
         return lo, 0.0
 
 
+def _zero_rate(profile: LevelProfile, p: float) -> bool:
+    """pL >= t*, decided exactly: p = num/den and t* = penalty_sum / q^L."""
+    num, den = float(p).as_integer_ratio()
+    q, L = profile.params.q, profile.params.L
+    return num * L * q**L >= profile.penalty_sum * den
+
+
 def beta(
     query: ThresholdQuery, profile: Optional[LevelProfile] = None
 ) -> tuple[float, Optional[float]]:
     """The maximal bad-type entropy beta(p, ell, L), with the dual minimizer.
 
-    Returns (L, None) in the zero-rate regime pL >= t* (ties included),
-    (log_q |D_0|, None) at p = 0, and otherwise the bisection minimum of
-    the dual, accurate to epsilon * L.
+    Returns (L, None) in the zero-rate regime pL >= t* (decided in exact
+    arithmetic, ties included), (log_q |D_0|, None) at p = 0, (L, 0.0)
+    when pL is below t* by less than g'(0) resolves in floats, and
+    otherwise the bisection minimum of the dual, accurate to epsilon * L.
     """
     params = query.level_params()
     if profile is None:
@@ -151,7 +159,7 @@ def beta(
     if query.p >= 1.0:
         raise DomainError(f"p must be below 1, got {query.p}")
     L = query.L
-    if query.p * L >= profile.t_star:
+    if _zero_rate(profile, query.p):
         return float(L), None
     if query.p == 0.0:
         # Constant vectors always lie in D_0, so the level is nonempty.
@@ -160,7 +168,11 @@ def beta(
 
     dual = DualObjective(profile, query.p)
     lo, hi = dual.bracket()
-    if not (dual.derivative(lo) < 0.0 < dual.derivative(hi)):
+    if not dual.derivative(hi) > 0.0:
+        # pL < t* exactly, yet g'(0) = t* - pL rounds to <= 0: the minimizer
+        # is at the continuity limit alpha = 0, where g(0) = L.
+        return float(L), 0.0
+    if not dual.derivative(lo) < 0.0:
         raise RuntimeError(
             f"dual bracket [{lo}, {hi}] does not straddle the minimizer "
             f"for {params} at p={query.p}"
@@ -201,10 +213,10 @@ def threshold_rate(query: ThresholdQuery, use_closed_forms: bool = False) -> Thr
                 r, query.L * (1.0 - r), None, "perfect_hashing", 0.0
             )
     profile = level_profile(params)
+    if _zero_rate(profile, query.p):
+        return ThresholdResult(0.0, float(query.L), None, "zero_rate", 0.0)
     b, alpha = beta(query, profile)
     r_star = 1.0 - b / query.L
-    if query.p * query.L >= profile.t_star:
-        return ThresholdResult(0.0, float(query.L), None, "zero_rate", 0.0)
     if query.p == 0.0:
         return ThresholdResult(r_star, b, None, "closed_form_zero_error", 0.0)
     return ThresholdResult(r_star, b, alpha, "bisection", query.epsilon)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,22 @@ def test_counts_match_composition_oracle():
 def test_composition_budget_error():
     with pytest.raises(BudgetError):
         level_profile(LevelSetParams(6, 2, 300))
+
+
+def test_count_bits_budget_error():
+    # (L + 1) * L bits of counts at q = 2, L = 30000 exceeds the budget; the
+    # check comes before any partition is walked.
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        level_profile(LevelSetParams(2, 1, 30000))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_count_bits_budget_admits_large_profiles():
+    points = [(2, 1, 2000), (3, 1, 300)] + [(8, 1, L) for L in (8, 16, 32, 64)]
+    points += [(q, 1, L) for q in (2, 4) for L in (64, 128)]
+    for q, ell, L in points:
+        assert sum(level_profile(LevelSetParams(q, ell, L)).counts) == q**L
 
 
 def test_params_validation():

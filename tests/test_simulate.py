@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import hashlib
 import itertools
 import math
 
@@ -42,16 +44,47 @@ def test_trial_seed_is_deterministic_and_spread():
 
 def test_sampling_is_deterministic_and_sorted():
     spec = RandomCodeSpec(n=12, rate=0.4, q=3, seed=99)
-    code = sample_random_code(spec)
-    assert code == sample_random_code(spec)
+    code = sample_random_code(spec).tolist()
+    assert code == sample_random_code(spec).tolist()
     assert code == sorted(code)
-    assert len(set(code)) == len(code)
+    assert len(set(map(tuple, code))) == len(code)
     assert all(len(w) == 12 and all(0 <= s < 3 for s in w) for w in code)
+
+
+def test_sampling_past_one_byte_symbols_stays_sorted():
+    # q = 300 takes the rejection path with symbols wider than a byte.
+    code = sample_random_code(RandomCodeSpec(n=3, rate=0.5, q=300, seed=1)).tolist()
+    assert len(code) > 1000 and code == sorted(code)
+    assert len(set(map(tuple, code))) == len(code)
+    assert all(0 <= s < 300 for w in code for s in w)
+    found, cert = contains_bad_matrix(code, p=0.4, ell=1, L=3, q=300)
+    assert found and cert.recheck()
 
 
 def test_rate_one_returns_the_full_space():
     code = sample_random_code(RandomCodeSpec(n=4, rate=1.0, q=2, seed=5))
-    assert code == sorted(itertools.product(range(2), repeat=4))
+    assert np.array_equal(code, sorted(itertools.product(range(2), repeat=4)))
+
+
+# SHA-256 of the sampled words as (M, n) uint8 bytes, recorded when codes
+# were still built as sorted lists of tuples: the choice path at q = 2 and
+# q = 3, and the rejection path at q = 2 and q = 4, at (23, 0.6) with a
+# collision in the first batch and so a second batch.
+FROZEN_CODES = {
+    (20, 0.5, 2, 11): (1003, "0646729448ef83003985e23764516f7657bb6fecb8d4fd4d36bde503738c77a8"),
+    (30, 0.4, 2, 12): (4013, "fcff93607053b8d3b70fdcc9945eb737625399c32c1ecb494e3a2339bb18b5f3"),
+    (16, 0.3, 4, 13): (767, "3fa936a9b2ed7edc279bf19b9ef821106cf593938ddb0c5b4c1c5b9d3700cac4"),
+    (12, 0.5, 3, 14): (736, "f7924712bdc272d0f7c25eaf26183ed357febd2f771496cf125c743325403923"),
+    (23, 0.6, 2, 15): (14290, "f2adbda8f2fbce6d7251634daa712645bed233b1e371d5572419395d4dda92b7"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_CODES))
+def test_sampled_codes_match_frozen_digests(key):
+    code = sample_random_code(RandomCodeSpec(*key))
+    size, digest = FROZEN_CODES[key]
+    assert code.dtype == np.uint8 and code.shape == (size, key[0])
+    assert hashlib.sha256(code.tobytes()).hexdigest() == digest
 
 
 def test_sample_mean_size_matches_binomial():
@@ -170,10 +203,55 @@ def test_contains_bad_matrix_generic_path_agrees_with_subset_scan():
             assert found == direct, (code, p, ell)
 
 
+def _first_bad_by_subset_scan(words, p, ell, L, q):
+    for combo in itertools.combinations(words, L):
+        cert = is_bad_tuple(combo, p=p, ell=ell, q=q)
+        if cert is not None:
+            return cert
+    return None
+
+
+def test_contains_bad_matrix_returns_first_bad_tuple_in_subset_order():
+    cases = 0
+    for seed in range(8):
+        for n, rate, q, L in ((9, 0.45, 2, 3), (5, 0.6, 3, 3), (8, 0.5, 2, 4)):
+            code = sample_random_code(RandomCodeSpec(n, rate, q, seed))
+            words = [tuple(w) for w in code.tolist()]
+            for p in (0.1, 0.2, 0.3):
+                for given_code, order in ((code, words), (words[::-1], words[::-1])):
+                    found, cert = contains_bad_matrix(given_code, p=p, ell=1, L=L, q=q)
+                    assert cert == _first_bad_by_subset_scan(order, p, 1, L, q)
+                    assert found == (cert is not None)
+                    cases += found
+    assert 20 < cases < 144
+
+
+def test_contains_bad_matrix_validates_array_input():
+    code = sample_random_code(RandomCodeSpec(10, 0.5, 2, 1))
+    with pytest.raises(ValidationError):
+        contains_bad_matrix(np.vstack([code, code[:1]]), p=0.1, ell=1, L=3, q=2)
+    with pytest.raises(ValidationError):
+        contains_bad_matrix(code + 1, p=0.1, ell=1, L=3, q=2)
+    with pytest.raises(ValidationError):
+        contains_bad_matrix([(0, 1), (1,)], p=0.1, ell=1, L=3, q=2)
+
+
 def test_contains_bad_matrix_budget_error():
     code = [tuple(int(b) for b in format(i, "012b")) for i in range(600)]
     with pytest.raises(BudgetError):
         contains_bad_matrix(code, p=0.3, ell=2, L=3, q=2, max_subsets=1000)
+
+
+def test_contains_bad_matrix_caps_tuples_tested_at_runtime():
+    # (i, i) for five symbols: every pair is 2 apart, within 2 * floor(0.5 * 2),
+    # but no center meets three of them, so all C(5, 3) = 10 cliques are tested.
+    code = [(i, i) for i in range(5)]
+    assert contains_bad_matrix(code, p=0.5, ell=1, L=3, q=5, max_subsets=10) == (False, None)
+    with pytest.raises(BudgetError):
+        contains_bad_matrix(code, p=0.5, ell=1, L=3, q=5, max_subsets=9)
+    # A bad first tuple returns before the cap is reached.
+    code = [(0, 0), (0, 1), (1, 0)]
+    assert contains_bad_matrix(code, p=0.5, ell=1, L=3, q=2, max_subsets=1)[0]
 
 
 def test_resolve_workers_env_override(monkeypatch):
@@ -198,6 +276,23 @@ def test_sweep_is_reproducible_and_worker_independent():
     strip = lambda rep: [(r.n, r.rate, r.trials, r.satisfied) for r in rep.rows]
     assert strip(serial) == strip(again) == strip(pooled)
     assert serial.crossings == pooled.crossings
+
+
+def test_sweep_starts_one_worker_pool(monkeypatch):
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    rep = empirical_threshold_sweep(
+        n_list=[8, 10], rate_grid=[0.2, 0.5], trials=4,
+        p=0.1, ell=1, L=3, q=2, base_seed=5, workers=2,
+    )
+    assert started == [2]
+    assert len(rep.rows) == 4
 
 
 def test_sweep_budget_checked_before_sampling():

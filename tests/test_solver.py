@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from codethresh.errors import DomainError, ValidationError
 from codethresh.levels import LevelSetParams, level_profile
+from codethresh.oracle import composition_level_counts
 from codethresh.solver import (
     DualObjective,
     ThresholdQuery,
@@ -115,6 +117,26 @@ def test_zero_rate_regime_is_exact():
     assert res.r_star > 0.0
     # pL = 0.3 >= t* = 2/9 for (q=3, ell=2, L=3)
     assert threshold_rate(ThresholdQuery(0.1, 2, 3, 3)).r_star == 0.0
+
+
+def test_zero_rate_boundary_probes_are_decided_exactly():
+    # p = t*/L and the two floats just below it for q <= 6, ell < q and
+    # 2 <= L <= 8, with t* taken exactly from the composition oracle.
+    probes = 0
+    for q in range(2, 7):
+        for ell in range(1, q):
+            for L in range(2, 9):
+                counts = composition_level_counts(LevelSetParams(q, ell, L))
+                t_star = Fraction(sum(d * c for d, c in enumerate(counts)), q**L)
+                p = float(t_star) / L
+                for _ in range(3):
+                    res = threshold_rate(ThresholdQuery(p, ell, L, q))
+                    zero = Fraction(p) * L >= t_star
+                    assert (res.method == "zero_rate") == zero, (q, ell, L, p)
+                    assert 0.0 <= res.r_star <= 1e-9, (q, ell, L, p, res)
+                    probes += 1
+                    p = math.nextafter(p, 0.0)
+    assert probes == 315
 
 
 def test_p_zero_closed_form():
