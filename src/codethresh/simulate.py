@@ -16,11 +16,16 @@ patterns matter: every size-ell set K induces the same pattern as its
 intersection with the symbols actually present, so at most
 C(min(q, L), ell) transitions are enumerated instead of C(q, ell).
 
-Codes are lexicographically sorted (M, n) symbol arrays.  For ell = 1,
-columns jointly coverable within radius b are pairwise within 2b, so only
-cliques of the closeness graph are checked: row by row, each row against
-the later rows, growing cliques in lexicographic order and returning at
-the first bad tuple.  Other ell enumerate plain L-subsets.
+Codes are lexicographically sorted (M, n) symbol arrays.  Badness is
+hereditary: the K-sets of a bad tuple leave each of its sub-tuples bad.
+So one depth-first search over ascending row prefixes, for every ell,
+extends a prefix only by rows with which each (ell+1)-subset passes a
+count test: at most (ell+1)*floor(p*n) coordinates carry ell+1 distinct
+symbols, as each such coordinate leaves one of them uncovered.  For
+ell = 1 this is the Hamming test d <= 2*floor(p*n).  With L = ell+1 the
+test is exact, since those misses may go to any column and so spread
+evenly; for larger L the DP decides the L-tuples that pass.  The search
+returns at the first bad tuple.
 """
 
 from __future__ import annotations
@@ -292,41 +297,65 @@ def _code_array(code, q: int) -> np.ndarray:
     return arr
 
 
-def _first_bad_clique(
-    arr: np.ndarray, p: float, L: int, q: int, max_subsets: int
-) -> Optional[BadnessCertificate]:
-    """First bad L-clique of the closeness graph (ell = 1), in lexicographic order.
+def _spread(ref: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row of ``rows``: coordinates where it and the rows of ``ref`` all differ."""
+    apart = rows != ref[0]
+    for i in range(1, len(ref)):
+        apart &= rows != ref[i]
+        for j in range(i):
+            apart &= ref[i] != ref[j]
+    return apart.sum(axis=1)
 
-    Rows within the radius are found one row at a time, against only the
-    candidates still common to the clique, so a code whose first cliques
-    are bad costs a few row comparisons instead of all M^2 pairs.
+
+def _first_bad_tuple(
+    arr: np.ndarray, p: float, ell: int, L: int, q: int, max_subsets: int
+) -> Optional[BadnessCertificate]:
+    """First bad L-tuple of rows in lexicographic index order, or None.
+
+    Depth first over ascending prefixes, each extended only by the later
+    rows that pass the count test (module docstring) with it, all checked
+    at once.  The DP decides the L-tuples that pass; when L <= ell+1 the
+    test is exact, and the DP only writes the first one's certificate.
     """
     n = arr.shape[1]
-    radius = 2 * math.floor(p * n)
+    limit = (ell + 1) * math.floor(p * n)
     packed = None
-    if q == 2 and n <= 64:
+    if ell == 1 and q == 2 and n <= 64:
         packed = (arr.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(1, np.uint64)
 
-    def close(v: int, rows: np.ndarray) -> np.ndarray:
+    def survivors(prefix: list[int], w: int, rows: np.ndarray) -> np.ndarray:
+        # Tests of the (ell+1)-subsets with w and ell-1 prefix rows; the rest passed before.
         if packed is not None:
-            return rows[np.bitwise_count(packed[rows] ^ packed[v]) <= radius]
-        return rows[(arr[rows] != arr[v]).sum(axis=1) <= radius]
+            return rows[np.bitwise_count(packed[rows] ^ packed[w]) <= limit]
+        if len(prefix) < ell - 1:
+            return rows
+        sub = arr[rows]
+        for others in itertools.combinations(prefix, ell - 1):
+            keep = _spread(arr[[*others, w]], sub) <= limit
+            rows, sub = rows[keep], sub[keep]
+        return rows
 
     tested = 0
 
-    def extend(clique: list[int], cand: np.ndarray) -> Optional[BadnessCertificate]:
-        # ``cand``: ascending rows after the clique's last, close to all of it.
+    def extend(prefix: list[int], cand: np.ndarray) -> Optional[BadnessCertificate]:
+        # ``cand``: ascending rows after the prefix that pass every test with it.
         nonlocal tested
+        need = L - len(prefix)
+        if need == 1:
+            for c in cand.tolist():
+                cert = is_bad_tuple(arr[prefix + [c]].tolist(), p, ell, q)
+                if cert is not None:
+                    return cert
+            return None
         for k, w in enumerate(cand.tolist()):
-            if len(clique) + len(cand) - k < L:
+            if len(cand) - k < need:  # too few rows left for a full tuple
                 return None
-            if len(clique) + 1 == L:
-                tested += 1
+            rows = cand[k + 1 :]
+            if need == 2:
+                tested += len(rows)
                 if tested > max_subsets:
                     raise BudgetError(f"more than {max_subsets} candidate {L}-tuples tested")
-                cert = is_bad_tuple([arr[i].tolist() for i in clique + [w]], p, 1, q)
-            else:
-                cert = extend(clique + [w], close(w, cand[k + 1 :]))
+            cert = extend(prefix + [w], survivors(prefix, w, rows))
             if cert is not None:
                 return cert
         return None
@@ -346,32 +375,17 @@ def contains_bad_matrix(
 
     The code is an (M, n) array or a sequence of words.  Tuples are tried
     in lexicographic order of row indices and the first bad one is
-    returned.  For ell = 1 only cliques of the closeness graph are tried,
-    and BudgetError is raised once more than ``max_subsets`` have been
-    tested; other ell enumerate all L-subsets, refused up front when
-    there are more than ``max_subsets``.
+    returned, pruned by the (ell+1)-subset count test.  A tuple counts as
+    tested when the count test checks its last row against a surviving
+    prefix of L-1 rows, whether or not the DP then runs on it; for every
+    ell, BudgetError is raised once more than ``max_subsets`` are tested.
     """
-    if L < 1:
-        raise ValidationError(f"L must be >= 1, got {L}")
-    arr = _code_array(code, q)
-    m = len(arr)
-    if m < L:
-        return False, None
-
-    if ell == 1:
-        cert = _first_bad_clique(arr, p, L, q, max_subsets)
-        return cert is not None, cert
-
-    total = math.comb(m, L)
-    if total > max_subsets:
-        raise BudgetError(
-            f"{total} candidate {L}-subsets exceed the budget {max_subsets}"
+    if L < 1 or not 1 <= ell <= q or not 0.0 <= p <= 1.0:
+        raise ValidationError(
+            f"need L >= 1, 1 <= ell <= q and 0 <= p <= 1; got L={L}, ell={ell}, q={q}, p={p}"
         )
-    for combo in itertools.combinations(arr.tolist(), L):
-        cert = is_bad_tuple(combo, p, ell, q)
-        if cert is not None:
-            return True, cert
-    return False, None
+    cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q, max_subsets)
+    return cert is not None, cert
 
 
 # ---------------------------------------------------------------------------
@@ -398,30 +412,13 @@ def _run_trial(args) -> bool:
     return found
 
 
-def _check_sweep_budget(
-    n: int, rate: float, q: int, ell: int, L: int, size_cap: int, subset_cap: int
-) -> None:
+def _check_sweep_budget(n: int, rate: float, q: int, size_cap: int) -> None:
     expected = float(q) ** (n * rate)
     if expected > size_cap:
         raise BudgetError(
             f"(n={n}, rate={rate}): expected code size {expected:.3g} exceeds "
             f"the cap {size_cap}"
         )
-    # 4 standard deviations of headroom on the binomial count.
-    hi = int(expected + 4.0 * math.sqrt(expected) + 1.0)
-    if ell == 1:
-        est_pairs = hi * (hi - 1) // 2
-        if est_pairs > 10 * subset_cap:
-            raise BudgetError(
-                f"(n={n}, rate={rate}): ~{est_pairs} pairwise distances "
-                f"exceed the work budget"
-            )
-    else:
-        if math.comb(hi, L) > subset_cap:
-            raise BudgetError(
-                f"(n={n}, rate={rate}): ~{math.comb(hi, L)} {L}-subsets "
-                f"exceed the budget {subset_cap}"
-            )
 
 
 def _interpolate_crossing(
@@ -452,7 +449,8 @@ def empirical_threshold_sweep(
 ) -> SweepReport:
     """Fraction of seeded random codes containing a bad matrix, per (n, rate).
 
-    All budgets are checked before any sampling.  Each trial uses the
+    The code-size cap is checked before any sampling; ``max_subsets`` caps
+    the tuples tested per code at run time.  Each trial uses the
     deterministic seed trial_seed(base_seed, n, rate, trial), so results
     do not depend on execution order or worker count.
     """
@@ -460,7 +458,7 @@ def empirical_threshold_sweep(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     for n in n_list:
         for rate in rate_grid:
-            _check_sweep_budget(n, rate, q, ell, L, max_expected_size, max_subsets)
+            _check_sweep_budget(n, rate, q, max_expected_size)
 
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()

@@ -13,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codethresh.errors import BudgetError, ValidationError
+from codethresh.oracle import brute_force_badness
 from codethresh.simulate import (
     RandomCodeSpec,
+    _spread,
+    _unique_rows,
     contains_bad_matrix,
     empirical_threshold_sweep,
     is_bad_tuple,
@@ -22,6 +25,7 @@ from codethresh.simulate import (
     sample_random_code,
     trial_seed,
 )
+from codethresh.solver import ThresholdQuery, threshold_rate
 
 
 def test_spec_validation():
@@ -226,6 +230,71 @@ def test_contains_bad_matrix_returns_first_bad_tuple_in_subset_order():
     assert 20 < cases < 144
 
 
+def test_contains_bad_matrix_first_bad_tuple_for_larger_ell():
+    cases = found_cases = 0
+    for seed in range(6):
+        for n, rate, q, ell in ((10, 0.18, 4, 2), (10, 0.16, 5, 2), (16, 0.085, 6, 3)):
+            code = sample_random_code(RandomCodeSpec(n, rate, q, seed))
+            words = [tuple(w) for w in code.tolist()]
+            for L in (ell + 1, ell + 2):
+                for p in (0.0, 0.1):
+                    for given_code, order in ((code, words), (words[::-1], words[::-1])):
+                        found, cert = contains_bad_matrix(given_code, p=p, ell=ell, L=L, q=q)
+                        assert cert == _first_bad_by_subset_scan(order, p, ell, L, q)
+                        assert found == (cert is not None)
+                        cases += 1
+                        found_cases += found
+    assert 0.2 * cases < found_cases < 0.8 * cases
+
+
+def test_count_test_is_exact_for_ell_plus_one_columns():
+    # L = ell + 1: a tuple is bad exactly when at most (ell + 1) * floor(p * n)
+    # coordinates carry ell + 1 distinct symbols.
+    rng = np.random.default_rng(515)
+    bad = total = 0
+    for ell in (1, 2, 3):
+        for q in range(max(2, ell), 6):
+            for _ in range(6):
+                n = int(rng.integers(2, 9))
+                code = _unique_rows(rng.integers(0, q, size=(8, n)).astype(np.uint8))
+                for p in (0.0, 0.1, 0.2, 0.35, 0.5):
+                    limit = (ell + 1) * math.floor(p * n)
+                    for combo in itertools.combinations(range(len(code)), ell + 1):
+                        rows = code[list(combo)]
+                        passes = int(_spread(rows[:ell], rows[ell:])[0]) <= limit
+                        cert = is_bad_tuple(rows.tolist(), p=p, ell=ell, q=q)
+                        assert passes == (cert is not None), (rows.tolist(), p)
+                        bad += passes
+                        total += 1
+    assert 0.1 * total < bad < 0.9 * total
+
+
+def test_is_bad_tuple_matches_brute_force_for_ell_two():
+    rng = np.random.default_rng(20261018)
+    bad = 0
+    for i in range(300):
+        q = 3 + i % 2
+        n = int(rng.integers(2, 8 if q == 3 else 6))
+        L = int(rng.integers(3, 5))
+        words = set()
+        while len(words) < L:
+            words.add(tuple(int(x) for x in rng.integers(0, q, size=n)))
+        tup = tuple(sorted(words))
+        p = float(rng.uniform(0.0, 0.6))
+        cert = is_bad_tuple(tup, p=p, ell=2, q=q)
+        assert (cert is not None) == brute_force_badness(tup, p=p, ell=2, q=q), (tup, p)
+        assert cert is None or cert.recheck()
+        bad += cert is not None
+    assert 30 < bad < 270
+
+
+def test_contains_bad_matrix_validates_ell_and_p():
+    code = [(0, 1), (1, 0), (1, 1)]
+    for ell, p in ((0, 0.1), (3, 0.1), (1, -0.1), (1, 1.5)):
+        with pytest.raises(ValidationError):
+            contains_bad_matrix(code, p=p, ell=ell, L=3, q=2)
+
+
 def test_contains_bad_matrix_validates_array_input():
     code = sample_random_code(RandomCodeSpec(10, 0.5, 2, 1))
     with pytest.raises(ValidationError):
@@ -237,9 +306,14 @@ def test_contains_bad_matrix_validates_array_input():
 
 
 def test_contains_bad_matrix_budget_error():
-    code = [tuple(int(b) for b in format(i, "012b")) for i in range(600)]
+    # The ternary tetracode: every triple of its 9 words has a coordinate with
+    # three distinct symbols, so at p = 0 no triple is bad (ell = 2) and the
+    # count test checks all C(9, 3) = 84 of them.
+    code = [(a, b, (a + b) % 3, (a + 2 * b) % 3) for a in range(3) for b in range(3)]
+    assert _first_bad_by_subset_scan(code, 0.0, 2, 3, 3) is None
+    assert contains_bad_matrix(code, p=0.0, ell=2, L=3, q=3, max_subsets=84) == (False, None)
     with pytest.raises(BudgetError):
-        contains_bad_matrix(code, p=0.3, ell=2, L=3, q=2, max_subsets=1000)
+        contains_bad_matrix(code, p=0.0, ell=2, L=3, q=3, max_subsets=83)
 
 
 def test_contains_bad_matrix_caps_tuples_tested_at_runtime():
@@ -306,6 +380,43 @@ def test_sweep_budget_checked_before_sampling():
             n_list=[8], rate_grid=[0.5], trials=0,
             p=0.1, ell=1, L=3, q=2, base_seed=1,
         )
+
+
+def test_sweep_budget_leaves_search_work_to_the_runtime_cap():
+    # Codes of about 16,000 (ell = 1) and 780 (ell = 2) words hold far more
+    # pairs or triples than the tuple cap, but the search stops at the first
+    # bad tuple.
+    rep = empirical_threshold_sweep(
+        n_list=[40], rate_grid=[0.35], trials=2,
+        p=0.1, ell=1, L=3, q=2, base_seed=9, workers=1,
+    )
+    assert rep.rows[0].satisfied == 2
+    rep = empirical_threshold_sweep(
+        n_list=[24], rate_grid=[0.2], trials=2,
+        p=0.0, ell=2, L=3, q=4, base_seed=9, workers=1,
+    )
+    assert rep.rows[0].satisfied == 2
+
+
+# 200 trials put the standard error of each crossing near 0.002, against a
+# move of about 0.013 between n = 12 and n = 16 (seeds 11-15 all show it).
+TREND_RATES = [0.075, 0.1, 0.125, 0.15, 0.175, 0.2]
+TREND_TRIALS = 200
+TREND_SEED = 11
+
+
+def test_list_recovery_crossing_moves_toward_r_star():
+    # (q, ell, L, p) = (4, 2, 3, 0): exact R* = 0.1130; the empirical
+    # 1/2-crossing approaches it from above as n grows from 12 to 16.
+    r_star = threshold_rate(ThresholdQuery(0.0, 2, 3, 4)).r_star
+    assert abs(r_star - 0.1130) < 1e-4
+    rep = empirical_threshold_sweep(
+        n_list=[12, 16], rate_grid=TREND_RATES, trials=TREND_TRIALS,
+        p=0.0, ell=2, L=3, q=4, base_seed=TREND_SEED, workers=2,
+    )
+    cross12, cross16 = rep.crossings[12], rep.crossings[16]
+    assert cross12 is not None and cross16 is not None
+    assert abs(cross16 - r_star) < abs(cross12 - r_star)
 
 
 def test_sweep_fraction_bounds_and_rows():
