@@ -43,6 +43,7 @@ from .solver import (
     list_of_two_rc_threshold,
     perfect_hashing_threshold,
     threshold_rate,
+    threshold_rates,
     toy_property_rates,
     zero_error_threshold,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "sample_random_code",
     "t_star",
     "threshold_rate",
+    "threshold_rates",
     "toy_property_rates",
     "zero_error_threshold",
     "__version__",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -28,6 +29,7 @@ from .solver import (
     kl_estimate,
     list_of_two_rc_threshold,
     threshold_rate,
+    threshold_rates,
     toy_property_rates,
 )
 
@@ -112,12 +114,11 @@ def _cmd_threshold(args) -> tuple[Any, list[str], list[list[Any]]]:
 
 def _cmd_sweep(args) -> tuple[Any, list[str], list[list[Any]]]:
     grid = _float_grid(args.p_min, args.p_max, args.p_step)
+    queries = [ThresholdQuery(p, args.ell, args.L, args.q) for p in grid]
     rows = []
-    for p in grid:
-        query = ThresholdQuery(p, args.ell, args.L, args.q)
-        exact = threshold_rate(query).r_star
+    for query, res in zip(queries, threshold_rates(queries)):
         estimate, band = kl_estimate(query)
-        rows.append([p, exact, estimate, band])
+        rows.append([query.p, res.r_star, estimate, band])
     results = {
         "rows": [
             {"p": r[0], "exact": r[1], "kl_estimate": r[2], "band": r[3]}
@@ -245,7 +246,9 @@ _HANDLERS: dict[str, Callable] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="codethresh",
         description="Threshold rates for list-recovery of random codes",
@@ -309,9 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[list[str]] = None) -> int:
     """Parse argv, execute one subcommand, print its envelope to stdout."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -186,3 +186,44 @@ def test_levelsets_counts_too_long_to_print_exit_1(capsys):
     )
     assert code == 0
     assert len(json.loads(out)["results"]["rows"]) == 2
+
+
+@pytest.mark.parametrize("p", ["5e-324", "1e-310", "1e-300"])
+def test_subnormal_p_exits_0(capsys, p):
+    code, out, err = _capture(
+        capsys, ["threshold", "--q", "2", "--ell", "1", "--L", "3", "--p", p]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["r_star"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+def test_sweep_rows_match_threshold(capsys):
+    # Grids from p = 0 across the zero-rate boundary t*/L.
+    for q, ell, L in ((2, 1, 3), (3, 2, 5), (4, 1, 12)):
+        code, out, _ = _capture(
+            capsys, ["sweep", "--q", str(q), "--ell", str(ell), "--L", str(L),
+                     "--p-min", "0", "--p-max", "0.64", "--p-step", "0.02"]
+        )
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        assert rows[-1]["exact"] == 0.0 < rows[0]["exact"]
+        for row in rows:
+            code, out, _ = _capture(
+                capsys, ["threshold", "--q", str(q), "--ell", str(ell), "--L", str(L),
+                         "--p", repr(row["p"])]
+            )
+            assert code == 0
+            scalar = json.loads(out)["results"]["r_star"]
+            assert row["exact"] == pytest.approx(scalar, abs=1e-12), (q, ell, L, row)
+
+
+def test_repeated_runs_print_the_same_envelope(capsys):
+    argv = ["sweep", "--ell", "1", "--L", "3", "--q", "2",
+            "--p-min", "0.05", "--p-max", "0.3", "--p-step", "0.05"]
+    code, first, _ = _capture(capsys, argv)
+    assert code == 0
+    code, _, err = _capture(capsys, ["sweep", "--ell", "1", "--L", "3", "--q", "2"])
+    assert code == 2 and "required" in err
+    code, second, _ = _capture(capsys, argv)
+    assert code == 0
+    assert _strip_timing(first) == _strip_timing(second)

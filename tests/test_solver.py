@@ -1,4 +1,4 @@
-"""Exact threshold computation: dual bisection, closed forms, KL estimate."""
+"""Exact threshold computation: the dual solve, closed forms, KL estimate."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from codethresh.solver import (
     list_of_two_rc_threshold,
     perfect_hashing_threshold,
     threshold_rate,
+    threshold_rates,
     toy_property_rates,
     zero_error_threshold,
 )
@@ -267,3 +268,48 @@ def test_tighter_epsilon_never_hurts():
     coarse = beta(ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-3))[0]
     fine = beta(ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-12))[0]
     assert abs(fine - 2.3567796494470395) <= abs(coarse - 2.3567796494470395) + 1e-15
+
+
+def test_error_bound_is_certified():
+    # The reported gap bounds the distance to the 40-digit beta and, being
+    # computed rather than echoed, falls below eps once the solve stops.
+    for eps in (1e-3, 1e-6, 1e-9):
+        for (p, ell, L, q), expected in FROZEN_BETA.items():
+            res = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=eps))
+            assert 0.0 <= res.error_bound < eps, (eps, p, ell, L, q, res)
+            assert abs(res.beta - expected) <= L * res.error_bound + 1e-12, (eps, p, res)
+            assert res.beta >= expected - 1e-12  # the least dual value bounds from above
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-310, 1e-300])
+def test_subnormal_p_gives_the_zero_error_threshold(p):
+    for q, ell, L in ((2, 1, 3), (3, 2, 5), (4, 1, 12)):
+        params = LevelSetParams(q, ell, L)
+        res = threshold_rate(ThresholdQuery(p, ell, L, q))
+        assert res.r_star == pytest.approx(zero_error_threshold(params), abs=1e-9)
+        assert 0.0 <= res.error_bound <= 1e-6
+        dual = DualObjective(level_profile(params), p)
+        lo, hi = dual.bracket()
+        assert math.isfinite(lo)
+        assert dual.derivative(lo) < 0.0 < dual.derivative(hi)
+
+
+def test_grid_solve_matches_scalar_solves():
+    # p from 0 (closed form) across t*/L (zero rate) for each (q, ell, L).
+    for q, ell, L in ((2, 1, 3), (3, 2, 5), (4, 1, 12)):
+        queries = [ThresholdQuery(0.02 * k, ell, L, q) for k in range(33)]
+        methods = set()
+        for query, res in zip(queries, threshold_rates(queries)):
+            assert res == threshold_rate(query), (q, ell, L, query.p)
+            methods.add(res.method)
+        assert methods == {"closed_form_zero_error", "bisection", "zero_rate"}
+
+
+def test_grid_solve_rejects_mixed_queries():
+    assert threshold_rates([]) == []
+    with pytest.raises(ValidationError):
+        threshold_rates([ThresholdQuery(0.1, 1, 3, 2), ThresholdQuery(0.1, 1, 4, 2)])
+    with pytest.raises(ValidationError):
+        threshold_rates(
+            [ThresholdQuery(0.1, 1, 3, 2), ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-9)]
+        )
