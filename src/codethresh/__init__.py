@@ -8,9 +8,8 @@ empirically by Monte Carlo simulation of small random codes.
 """
 
 from .errors import BudgetError, DomainError, ValidationError
-from .levels import LevelProfile, LevelSetParams, level_profile, p_ell, t_star
+from .levels import LevelProfile, LevelSetParams, level_profile, p_ell
 from .qmath import (
-    EntropyValue,
     entropy_q,
     kl_q,
     multinomial_exact,
@@ -55,7 +54,6 @@ __all__ = [
     "BinaryDistribution3",
     "BudgetError",
     "DomainError",
-    "EntropyValue",
     "ImpliedTypeEntry",
     "ImpliedTypeScan",
     "LevelProfile",
@@ -84,7 +82,6 @@ __all__ = [
     "q_ary_entropy",
     "rlc_list_of_two_threshold",
     "sample_random_code",
-    "t_star",
     "threshold_rate",
     "threshold_rates",
     "toy_property_rates",

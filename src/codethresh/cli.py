@@ -1,22 +1,22 @@
 """Command-line front end.
 
-Every subcommand prints a single OutputEnvelope on stdout: JSON by
-default, or a flat CSV table with --format csv.  Numbers are serialized
-with 12 significant digits in either format, so the two payloads carry
-identical values.  Exit codes: 0 success, 1 budget or verification
-failure, 2 invalid input.
+Every subcommand prints one JSON envelope on stdout by default, or with
+--format csv the flat table whose rows the envelope's results hold.
+Numbers are serialized with 12 significant digits in either format, so
+the two payloads carry identical values.  Exit codes: 0 success, 1 budget
+or verification failure, 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
-import io
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from . import __version__
@@ -33,28 +33,10 @@ from .solver import (
     toy_property_rates,
 )
 
-__all__ = ["OutputEnvelope", "run", "main"]
+__all__ = ["run", "main"]
 
-
-@dataclass(frozen=True)
-class OutputEnvelope:
-    """What every subcommand emits: inputs echoed, results, provenance."""
-
-    command: str
-    parameters: dict[str, Any]
-    results: Any
-    version: str
-    elapsed_ms: int
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": _sig12(self.parameters),
-            "results": _sig12(self.results),
-            "version": self.version,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        return json.dumps(payload, indent=2)
+#: Refuse p grids longer than this many points.
+GRID_BUDGET = 100_000
 
 
 def _sig12(obj: Any) -> Any:
@@ -68,18 +50,17 @@ def _sig12(obj: Any) -> Any:
     return obj
 
 
-def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else _sig12(v) for v in row])
-    return buf.getvalue()
-
-
 def _float_grid(lo: float, hi: float, step: float) -> list[float]:
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValidationError(
+            f"grid bounds and step must be finite, got [{lo}, {hi}] with step {step}"
+        )
     if step <= 0:
         raise ValidationError(f"step must be positive, got {step}")
+    if (hi - lo) / step > GRID_BUDGET:
+        raise BudgetError(
+            f"grid [{lo}, {hi}] with step {step} has over {GRID_BUDGET} points"
+        )
     out = []
     k = 0
     while True:
@@ -94,41 +75,29 @@ def _float_grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (results payload, csv header, csv rows)
+# Subcommand handlers: each returns (JSON results, table rows).  The rows are
+# dicts keyed by CSV column, and the results hold the same dicts.
 
 
-def _cmd_threshold(args) -> tuple[Any, list[str], list[list[Any]]]:
-    query = ThresholdQuery(args.p, args.ell, args.L, args.q, args.eps)
-    res = threshold_rate(query)
-    results = {
-        "r_star": res.r_star,
-        "beta": res.beta,
-        "alpha_star": res.alpha_star,
-        "method": res.method,
-        "error_bound": res.error_bound,
-    }
-    header = ["r_star", "beta", "alpha_star", "method", "error_bound"]
-    rows = [[res.r_star, res.beta, res.alpha_star, res.method, res.error_bound]]
-    return results, header, rows
+def _cmd_threshold(args) -> tuple[Any, list[dict]]:
+    res = threshold_rate(ThresholdQuery(args.p, args.ell, args.L, args.q, args.eps))
+    row = dataclasses.asdict(res)
+    return row, [row]
 
 
-def _cmd_sweep(args) -> tuple[Any, list[str], list[list[Any]]]:
+def _cmd_sweep(args) -> tuple[Any, list[dict]]:
     grid = _float_grid(args.p_min, args.p_max, args.p_step)
     queries = [ThresholdQuery(p, args.ell, args.L, args.q) for p in grid]
     rows = []
     for query, res in zip(queries, threshold_rates(queries)):
         estimate, band = kl_estimate(query)
-        rows.append([query.p, res.r_star, estimate, band])
-    results = {
-        "rows": [
-            {"p": r[0], "exact": r[1], "kl_estimate": r[2], "band": r[3]}
-            for r in rows
-        ]
-    }
-    return results, ["p", "exact", "kl_estimate", "band"], rows
+        rows.append(
+            {"p": query.p, "exact": res.r_star, "kl_estimate": estimate, "band": band}
+        )
+    return {"rows": rows}, rows
 
 
-def _cmd_levelsets(args) -> tuple[Any, list[str], list[list[Any]]]:
+def _cmd_levelsets(args) -> tuple[Any, list[dict]]:
     params = LevelSetParams(args.q, args.ell, args.L)
     profile = level_profile(params)
     try:
@@ -146,15 +115,15 @@ def _cmd_levelsets(args) -> tuple[Any, list[str], list[list[Any]]]:
         "t_star": profile.t_star,
         "exact": True,
     }
-    header = ["q", "ell", "L", "d", "count", "t_star"]
     rows = [
-        [params.q, params.ell, params.L, d, counts[d], profile.t_star]
-        for d in range(params.L + 1)
+        {"q": params.q, "ell": params.ell, "L": params.L, "d": d, "count": count,
+         "t_star": profile.t_star}
+        for d, count in enumerate(counts)
     ]
-    return results, header, rows
+    return results, rows
 
 
-def _cmd_simulate(args) -> tuple[Any, list[str], list[list[Any]]]:
+def _cmd_simulate(args) -> tuple[Any, list[dict]]:
     report = empirical_threshold_sweep(
         n_list=args.n,
         rate_grid=args.rates,
@@ -165,34 +134,31 @@ def _cmd_simulate(args) -> tuple[Any, list[str], list[list[Any]]]:
         q=args.q,
         base_seed=args.seed,
     )
+    rows = [r._asdict() for r in report.rows]
     results = {
-        "rows": [
-            {
-                "n": r.n,
-                "rate": r.rate,
-                "trials": r.trials,
-                "satisfied": r.satisfied,
-                "fraction": r.fraction,
-            }
-            for r in report.rows
-        ],
+        "rows": rows,
         "crossings": {str(n): c for n, c in report.crossings.items()},
         "base_seed": report.base_seed,
         "elapsed_s": report.elapsed_s,
     }
-    header = ["n", "rate", "trials", "satisfied", "fraction"]
-    rows = [[r.n, r.rate, r.trials, r.satisfied, r.fraction] for r in report.rows]
-    return results, header, rows
+    return results, rows
 
 
-def _cmd_rlc(args) -> tuple[Any, list[str], list[list[Any]]]:
-    grid = _float_grid(args.p_min, args.p_max, args.p_step)
+def _cmd_rlc(args) -> tuple[Any, list[dict]]:
     rows = []
     thresholds = []
-    for p in grid:
+    for p in _float_grid(args.p_min, args.p_max, args.p_step):
         scan = implied_type_scan(p)
-        for entry in scan.entries:
-            rows.append([p, entry.map_label, entry.entropy, entry.dimension, entry.ratio])
+        rows.extend(
+            {
+                "p": p,
+                "label": e.map_label,
+                "entropy": e.entropy,
+                "dim": e.dimension,
+                "ratio": e.ratio,
+            }
+            for e in scan.entries
+        )
         thresholds.append(
             {
                 "p": p,
@@ -201,38 +167,20 @@ def _cmd_rlc(args) -> tuple[Any, list[str], list[list[Any]]]:
                 "min_ratio": scan.min_ratio,
             }
         )
-    results = {
-        "rows": [
-            {"p": r[0], "label": r[1], "entropy": r[2], "dim": r[3], "ratio": r[4]}
-            for r in rows
-        ],
-        "thresholds": thresholds,
-    }
-    return results, ["p", "label", "entropy", "dim", "ratio"], rows
+    return {"rows": rows, "thresholds": thresholds}, rows
 
 
-def _cmd_toy(args) -> tuple[Any, list[str], list[list[Any]]]:
+def _cmd_toy(args) -> tuple[Any, list[dict]]:
     grid = _float_grid(args.p_min, args.p_max, args.p_step)
-    rows = []
-    for p in grid:
-        rates = toy_property_rates(p)
-        rows.append([p, rates.r_theorem, rates.r_dagger])
-    results = {
-        "rows": [
-            {"p": r[0], "r_theorem": r[1], "r_dagger": r[2]} for r in rows
-        ]
-    }
-    return results, ["p", "r_theorem", "r_dagger"], rows
+    rows = [{"p": p, **toy_property_rates(p)._asdict()} for p in grid]
+    return {"rows": rows}, rows
 
 
-def _cmd_verify(args) -> tuple[Any, list[str], list[list[Any]]]:
+def _cmd_verify(args) -> tuple[Any, list[dict]]:
     from .verification import verification_report
 
     checks = verification_report(quick=args.quick)
-    results = {"checks": checks}
-    header = ["check", "status", "observed", "bound"]
-    rows = [[c["check"], c["status"], c["observed"], c["bound"]] for c in checks]
-    return results, header, rows
+    return {"checks": checks}, checks
 
 
 _HANDLERS: dict[str, Callable] = {
@@ -319,7 +267,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     t0 = time.perf_counter()
     try:
-        results, header, rows = _HANDLERS[args.command](args)
+        results, rows = _HANDLERS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -328,17 +276,27 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 1
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
 
-    parameters = {
-        k: v for k, v in vars(args).items() if k not in ("command", "format")
-    }
-    envelope = OutputEnvelope(args.command, parameters, results, __version__, elapsed_ms)
     if args.format == "csv":
-        sys.stdout.write(_csv_text(header, rows))
+        writer = csv.DictWriter(
+            sys.stdout, fieldnames=list(rows[0]), lineterminator="\n"
+        )
+        writer.writeheader()
+        writer.writerows(_sig12(rows))
     else:
-        print(envelope.to_json())
+        parameters = {
+            k: v for k, v in vars(args).items() if k not in ("command", "format")
+        }
+        envelope = {
+            "command": args.command,
+            "parameters": parameters,
+            "results": results,
+            "version": __version__,
+            "elapsed_ms": elapsed_ms,
+        }
+        print(json.dumps(_sig12(envelope), indent=2))
 
     if args.command == "verify":
-        if any(c["status"] != "PASS" for c in results["checks"]):
+        if any(c["status"] != "PASS" for c in rows):
             return 1
     return 0
 

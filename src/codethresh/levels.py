@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import BudgetError, ValidationError
 
-__all__ = ["LevelSetParams", "LevelProfile", "p_ell", "level_profile", "t_star"]
+__all__ = ["LevelSetParams", "LevelProfile", "p_ell", "level_profile"]
 
 #: Refuse profiles that need more than this many partitions.
 PARTITION_BUDGET = 20_000_000
@@ -150,16 +150,6 @@ def level_profile(params: LevelSetParams) -> LevelProfile:
     walk(0, L, L, 0, 1, 0)
     log_q = math.log(q)
     log_counts = tuple(math.log(c) / log_q if c else -math.inf for c in counts)
-    total = _penalty_sum(counts)
+    total = sum(d * c for d, c in enumerate(counts))
     t_mean = float(Fraction(total, q**L))
     return LevelProfile(params, tuple(counts), log_counts, t_mean, total)
-
-
-def _penalty_sum(counts: Sequence[int]) -> int:
-    return sum(d * c for d, c in enumerate(counts))
-
-
-def t_star(profile: LevelProfile) -> float:
-    """Uniform expectation of P_ell, recomputed from the profile's counts."""
-    counts, q = profile.counts, profile.params.q
-    return float(Fraction(_penalty_sum(counts), q ** (len(counts) - 1)))

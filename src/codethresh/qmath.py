@@ -13,13 +13,11 @@ at s = 0 and s = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, ValidationError
 
 __all__ = [
-    "EntropyValue",
     "entropy_q",
     "q_ary_entropy",
     "kl_q",
@@ -30,21 +28,13 @@ __all__ = [
 NORMALIZATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EntropyValue:
-    """An entropy measured in base-q units; 0 <= value <= log_q(support)."""
-
-    value: float
-    base: int
-
-
 def _check_q(q: int) -> None:
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"alphabet size q must be an integer >= 2, got {q!r}")
 
 
-def entropy_q(dist: Sequence[float], q: int) -> EntropyValue:
-    """Base-q entropy -sum tau(x) log_q tau(x) of a probability vector."""
+def entropy_q(dist: Sequence[float], q: int) -> float:
+    """Base-q entropy -sum tau(x) log_q tau(x) of a probability vector, >= 0."""
     _check_q(q)
     if any(x < 0 for x in dist):
         raise ValidationError("probabilities must be nonnegative")
@@ -55,7 +45,7 @@ def entropy_q(dist: Sequence[float], q: int) -> EntropyValue:
         )
     lq = math.log(q)
     value = -math.fsum(x * math.log(x) for x in dist if x > 0.0) / lq
-    return EntropyValue(max(value, 0.0), q)
+    return max(value, 0.0)
 
 
 def q_ary_entropy(x: float, q: int) -> float:

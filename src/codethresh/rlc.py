@@ -170,7 +170,7 @@ def implied_type_scan(p: float) -> ImpliedTypeScan:
     for ker, rows in _REPRESENTATIVES:
         matrix = tuple(_unpack_row(r) for r in rows)
         push = implied_distribution(tau, matrix)
-        entropy = entropy_q(push, 2).value
+        entropy = entropy_q(push, 2)
         support = [v for v, mass in enumerate(push) if mass > 0.0]
         dimension = _rank_gf2(support)
         label = "ker{" + ",".join(format(u, "03b") for u in sorted(ker)) + "}"

@@ -449,13 +449,17 @@ def empirical_threshold_sweep(
 ) -> SweepReport:
     """Fraction of seeded random codes containing a bad matrix, per (n, rate).
 
-    The code-size cap is checked before any sampling; ``max_subsets`` caps
-    the tuples tested per code at run time.  Each trial uses the
+    Rates outside [0, 1] and codes over the size cap are refused before
+    any sampling; ``max_subsets`` caps the tuples tested per code at run
+    time.  Each trial uses the
     deterministic seed trial_seed(base_seed, n, rate, trial), so results
     do not depend on execution order or worker count.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    for rate in rate_grid:
+        if not 0.0 <= rate <= 1.0:
+            raise ValidationError(f"rate must lie in [0, 1], got {rate}")
     for n in n_list:
         for rate in rate_grid:
             _check_sweep_budget(n, rate, q, max_expected_size)

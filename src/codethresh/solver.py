@@ -76,8 +76,10 @@ class ThresholdQuery:
             raise ValidationError(f"L must be >= 2, got {self.L}")
         if not 0.0 <= self.p < 1.0:
             raise DomainError(f"p must lie in [0, 1), got {self.p}")
-        if not self.epsilon > 0.0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValidationError(
+                f"epsilon must be positive and finite, got {self.epsilon}"
+            )
 
     def level_params(self) -> LevelSetParams:
         return LevelSetParams(self.q, self.ell, self.L)
@@ -294,24 +296,12 @@ def threshold_rates(queries: Sequence[ThresholdQuery]) -> list[ThresholdResult]:
     return _threshold_results(profile, [x.p for x in queries], first.epsilon)
 
 
-def threshold_rate(query: ThresholdQuery, use_closed_forms: bool = False) -> ThresholdResult:
+def threshold_rate(query: ThresholdQuery) -> ThresholdResult:
     """R* = 1 - beta/L for the query, tagged with the computation path.
 
-    The default always runs the general machinery (zero-rate test, p = 0
-    closed form, or the dual solve, tagged "bisection").  With
-    ``use_closed_forms`` the two named special slices short-circuit to their
-    formulas: q=2, ell=1, L=3 with p in (0, 1/4), and the perfect-hashing
-    slice p=0, ell=q-1, L=q.
+    The zero-rate test, the p = 0 closed form, or the dual solve (tagged
+    "bisection"); the named closed forms below are separate functions.
     """
-    if use_closed_forms:
-        if query.q == 2 and query.ell == 1 and query.L == 3 and 0.0 < query.p < 0.25:
-            r = list_of_two_rc_threshold(query.p)
-            return ThresholdResult(r, 3.0 * (1.0 - r), None, "list_of_two_rc", 0.0)
-        if query.p == 0.0 and query.ell == query.q - 1 and query.L == query.q:
-            r = perfect_hashing_threshold(query.q)
-            return ThresholdResult(
-                r, query.L * (1.0 - r), None, "perfect_hashing", 0.0
-            )
     return threshold_rates([query])[0]
 
 

@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 
 import pytest
 
+import codethresh
 from codethresh.cli import run
 
 
@@ -227,3 +230,45 @@ def test_repeated_runs_print_the_same_envelope(capsys):
     code, second, _ = _capture(capsys, argv)
     assert code == 0
     assert _strip_timing(first) == _strip_timing(second)
+
+
+@pytest.mark.parametrize(
+    "bounds, code",
+    [
+        (["--p-min", "0.1", "--p-max", "0.3", "--p-step", "nan"], 2),
+        (["--p-min", "0.1", "--p-max", "inf", "--p-step", "0.1"], 2),
+        (["--p-min", "nan", "--p-max", "0.3", "--p-step", "0.1"], 2),
+        (["--p-min", "0.1", "--p-max", "0.3", "--p-step", "1e-300"], 1),
+    ],
+)
+def test_unbounded_grids_exit_promptly(bounds, code):
+    # These grids never ended before they were refused; a child process with
+    # a timeout keeps a regression from hanging the suite.
+    src = os.path.dirname(os.path.dirname(codethresh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "codethresh.cli", "toy", *bounds],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("budget exceeded:" if code == 1 else "error:")
+
+
+def test_nan_rate_exits_2(capsys):
+    code, out, err = _capture(
+        capsys, ["simulate", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2",
+                 "--n", "10", "--rates", "0.2", "nan", "--trials", "2", "--seed", "1"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "rate" in err
+
+
+def test_infinite_eps_exits_2(capsys):
+    code, out, err = _capture(
+        capsys, ["threshold", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2",
+                 "--eps", "inf"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "epsilon" in err

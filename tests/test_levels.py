@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codethresh.errors import BudgetError, ValidationError
-from codethresh.levels import LevelSetParams, LevelProfile, level_profile, p_ell, t_star
+from codethresh.levels import LevelSetParams, LevelProfile, level_profile, p_ell
 from codethresh.oracle import composition_level_counts
 
 # (q, ell, L) -> (counts, t_star); counts enumerated independently
@@ -102,7 +102,6 @@ def test_log_counts_consistent_with_counts():
 
 def test_t_star_recompute_matches_profile():
     profile = level_profile(LevelSetParams(3, 2, 3))
-    assert t_star(profile) == pytest.approx(profile.t_star, abs=1e-15)
     # exact rational: ((21*0) + (6*1)) / 27 = 2/9
     assert profile.t_star == pytest.approx(float(Fraction(2, 9)), abs=1e-15)
 

@@ -369,6 +369,16 @@ def test_sweep_starts_one_worker_pool(monkeypatch):
     assert len(rep.rows) == 4
 
 
+@pytest.mark.parametrize("rate", [math.nan, -0.1, 1.5])
+def test_sweep_rejects_rates_outside_unit_interval(rate):
+    # n = 64 would exceed the size budget at rate 1.5; the rate is refused first.
+    with pytest.raises(ValidationError, match="rate"):
+        empirical_threshold_sweep(
+            n_list=[64], rate_grid=[0.2, rate], trials=2,
+            p=0.1, ell=1, L=3, q=2, base_seed=1,
+        )
+
+
 def test_sweep_budget_checked_before_sampling():
     with pytest.raises(BudgetError):
         empirical_threshold_sweep(

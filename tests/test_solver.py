@@ -73,6 +73,8 @@ def test_query_validation():
         ThresholdQuery(0.1, 1, 1, 2)  # L < 2
     with pytest.raises(ValidationError):
         ThresholdQuery(0.1, 1, 3, 2, epsilon=0.0)
+    with pytest.raises(ValidationError):
+        ThresholdQuery(0.1, 1, 3, 2, epsilon=math.inf)
 
 
 def test_beta_frozen_values():
@@ -190,18 +192,6 @@ def test_list_of_two_rc_frozen_value_and_domain():
     for bad in (0.0, 0.25, 0.3, -0.1):
         with pytest.raises(DomainError):
             list_of_two_rc_threshold(bad)
-
-
-def test_closed_form_tags_are_opt_in():
-    q = ThresholdQuery(0.05, 1, 3, 2)
-    assert threshold_rate(q).method == "bisection"
-    tagged = threshold_rate(q, use_closed_forms=True)
-    assert tagged.method == "list_of_two_rc"
-    assert tagged.r_star == pytest.approx(threshold_rate(q).r_star, abs=1e-6)
-
-    ph = ThresholdQuery(0.0, 2, 3, 3)
-    assert threshold_rate(ph).method == "closed_form_zero_error"
-    assert threshold_rate(ph, use_closed_forms=True).method == "perfect_hashing"
 
 
 def test_kl_estimate_frozen_and_degenerate():
