@@ -26,6 +26,13 @@ ell = 1 this is the Hamming test d <= 2*floor(p*n).  With L = ell+1 the
 test is exact, since those misses may go to any column and so spread
 evenly; for larger L the DP decides the L-tuples that pass.  The search
 returns at the first bad tuple.
+
+The tests run in one pair table per prefix P, not one array call per
+(prefix, row): for candidates w < x it says whether {S, w, x} passes for
+every (ell-1)-set S of P's rows, and the walk reads the candidates of
+P + [w] from row w.  Tables fill lazily, a chunk of rows at a time, each
+chunk one broadcast block over the later candidates (a popcount of
+packed words for binary codes at ell = 1), so an early stop wastes little.
 """
 
 from __future__ import annotations
@@ -58,6 +65,9 @@ DEFAULT_SIZE_CAP = 2_000_000
 
 #: Default cap on the number of candidate tuples checked per code.
 DEFAULT_SUBSET_CAP = 2_000_000
+
+# Bytes of candidate words behind one block of a search pair table.
+_TABLE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -237,10 +247,7 @@ def is_bad_tuple(
         raise ValidationError("columns must share a common length")
     if len(set(cols)) != L:
         raise ValidationError("columns must be distinct")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must lie in [0, 1], got {p}")
-    if not 1 <= ell <= q:
-        raise ValidationError(f"need 1 <= ell <= q, got ell={ell}, q={q}")
+    _check_search(p, ell, L, q)
     for c in cols:
         for s in c:
             if not 0 <= s < q:
@@ -297,14 +304,19 @@ def _code_array(code, q: int) -> np.ndarray:
     return arr
 
 
-def _spread(ref: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per row of ``rows``: coordinates where it and the rows of ``ref`` all differ."""
+def _spread(ref, rows: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Per row of ``rows``: coordinates where it and the rows of ``ref`` all differ.
+
+    ``ref`` is a sequence of arrays that broadcast against ``rows``, the
+    first at least as wide as the result; ``axis`` indexes the coordinates.
+    """
     apart = rows != ref[0]
     for i in range(1, len(ref)):
         apart &= rows != ref[i]
         for j in range(i):
             apart &= ref[i] != ref[j]
-    return apart.sum(axis=1)
+    # Byte sums: a bool-to-int64 cast would cost more than the compares.
+    return apart.view(np.uint8).sum(axis, np.uint8 if apart.shape[axis] < 256 else np.intp)
 
 
 def _first_bad_tuple(
@@ -312,55 +324,79 @@ def _first_bad_tuple(
 ) -> Optional[BadnessCertificate]:
     """First bad L-tuple of rows in lexicographic index order, or None.
 
-    Depth first over ascending prefixes, each extended only by the later
-    rows that pass the count test (module docstring) with it, all checked
-    at once.  The DP decides the L-tuples that pass; when L <= ell+1 the
-    test is exact, and the DP only writes the first one's certificate.
+    Depth first over ascending prefixes; a prefix with at least ell-1 rows
+    and two or more to add gets a pair table (module docstring), whose
+    chunks hold about _TABLE_BYTES of candidate words, coordinates first.
+    The DP decides the L-tuples that pass; when L <= ell+1 the test is
+    exact, and the DP only writes the first one's certificate.
     """
     n = arr.shape[1]
     limit = (ell + 1) * math.floor(p * n)
-    packed = None
-    if ell == 1 and q == 2 and n <= 64:
-        packed = (arr.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(1, np.uint64)
+    packed = ell == 1 and q == 2 and n <= 64
+    if packed:
+        words = (arr.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(1, np.uint64)
+    else:
+        words = np.ascontiguousarray(arr.T)
 
-    def survivors(prefix: list[int], w: int, rows: np.ndarray) -> np.ndarray:
-        # Tests of the (ell+1)-subsets with w and ell-1 prefix rows; the rest passed before.
-        if packed is not None:
-            return rows[np.bitwise_count(packed[rows] ^ packed[w]) <= limit]
-        if len(prefix) < ell - 1:
-            return rows
-        sub = arr[rows]
-        for others in itertools.combinations(prefix, ell - 1):
-            keep = _spread(arr[[*others, w]], sub) <= limit
-            rows, sub = rows[keep], sub[keep]
-        return rows
+    def pair_table(prefix: list[int], cand: list[int]):
+        # Row k: the candidates after cand[k] that pass every test with prefix + [cand[k]].
+        index, rows = np.array(cand), []
+        block = words.take(index, axis=-1)
+        column = block.nbytes // len(cand)
+        refs = [arr[list(s), :, None, None] for s in itertools.combinations(prefix, ell - 1)]
+
+        def row(k: int) -> list[int]:
+            while len(rows) <= k:
+                i0 = len(rows)
+                width = len(cand) - i0 - 1
+                i1 = min(len(cand), i0 + max(1, _TABLE_BYTES // (width * column)))
+                if packed:
+                    ok = np.bitwise_count(block[i0:i1, None] ^ block[i0 + 1 :]) <= limit
+                else:
+                    w, x = block[:, i0:i1, None], block[:, None, i0 + 1 :]
+                    ok = np.logical_and.reduce([_spread([w, *s], x, 0) <= limit for s in refs])
+                # Passing pairs in row-major order; keep those past each row's own column.
+                r, j = np.divmod(np.flatnonzero(ok), width)
+                keep = j >= r
+                hits = index[i0 + 1 :][j[keep]].tolist()
+                ends = np.bincount(r[keep], minlength=i1 - i0).cumsum().tolist()
+                rows.extend(hits[a:b] for a, b in itertools.pairwise([0, *ends]))
+            out, rows[k] = rows[k], None  # the walk reads each row once
+            return out
+
+        return row
 
     tested = 0
 
-    def extend(prefix: list[int], cand: np.ndarray) -> Optional[BadnessCertificate]:
+    def extend(prefix: list[int], cand: list[int]) -> Optional[BadnessCertificate]:
         # ``cand``: ascending rows after the prefix that pass every test with it.
         nonlocal tested
         need = L - len(prefix)
         if need == 1:
-            for c in cand.tolist():
+            for c in cand:
                 cert = is_bad_tuple(arr[prefix + [c]].tolist(), p, ell, q)
                 if cert is not None:
                     return cert
             return None
-        for k, w in enumerate(cand.tolist()):
-            if len(cand) - k < need:  # too few rows left for a full tuple
-                return None
-            rows = cand[k + 1 :]
+        table = pair_table(prefix, cand) if len(cand) >= need and len(prefix) >= ell - 1 else None
+        for k in range(len(cand) - need + 1):  # each leaves enough rows for a full tuple
             if need == 2:
-                tested += len(rows)
+                tested += len(cand) - k - 1
                 if tested > max_subsets:
                     raise BudgetError(f"more than {max_subsets} candidate {L}-tuples tested")
-            cert = extend(prefix + [w], survivors(prefix, w, rows))
+            cert = extend(prefix + [cand[k]], table(k) if table else cand[k + 1 :])
             if cert is not None:
                 return cert
         return None
 
-    return extend([], np.arange(len(arr)))
+    return extend([], list(range(len(arr))))
+
+
+def _check_search(p: float, ell: int, L: int, q: int) -> None:
+    if L < 1 or not 1 <= ell <= q or not 0.0 <= p <= 1.0:
+        raise ValidationError(
+            f"need L >= 1, 1 <= ell <= q and 0 <= p <= 1; got L={L}, ell={ell}, q={q}, p={p}"
+        )
 
 
 def contains_bad_matrix(
@@ -375,15 +411,13 @@ def contains_bad_matrix(
 
     The code is an (M, n) array or a sequence of words.  Tuples are tried
     in lexicographic order of row indices and the first bad one is
-    returned, pruned by the (ell+1)-subset count test.  A tuple counts as
+    returned, pruned by the (ell+1)-subset count test, which runs in one
+    lazily filled pair table per search prefix.  A tuple counts as
     tested when the count test checks its last row against a surviving
     prefix of L-1 rows, whether or not the DP then runs on it; for every
     ell, BudgetError is raised once more than ``max_subsets`` are tested.
     """
-    if L < 1 or not 1 <= ell <= q or not 0.0 <= p <= 1.0:
-        raise ValidationError(
-            f"need L >= 1, 1 <= ell <= q and 0 <= p <= 1; got L={L}, ell={ell}, q={q}, p={p}"
-        )
+    _check_search(p, ell, L, q)
     cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q, max_subsets)
     return cert is not None, cert
 
@@ -410,15 +444,6 @@ def _run_trial(args) -> bool:
     code = sample_random_code(RandomCodeSpec(n, rate, q, seed), size_cap)
     found, _ = contains_bad_matrix(code, p, ell, L, q, subset_cap)
     return found
-
-
-def _check_sweep_budget(n: int, rate: float, q: int, size_cap: int) -> None:
-    expected = float(q) ** (n * rate)
-    if expected > size_cap:
-        raise BudgetError(
-            f"(n={n}, rate={rate}): expected code size {expected:.3g} exceeds "
-            f"the cap {size_cap}"
-        )
 
 
 def _interpolate_crossing(
@@ -449,24 +474,30 @@ def empirical_threshold_sweep(
 ) -> SweepReport:
     """Fraction of seeded random codes containing a bad matrix, per (n, rate).
 
-    Rates outside [0, 1] and codes over the size cap are refused before
-    any sampling; ``max_subsets`` caps the tuples tested per code at run
-    time.  Each trial uses the
-    deterministic seed trial_seed(base_seed, n, rate, trial), so results
-    do not depend on execution order or worker count.
+    Invalid parameters, repeated n, rates outside [0, 1] or not strictly
+    increasing, and codes over the size cap are refused before any seeding
+    or sampling; ``max_subsets`` caps the tuples tested per code at run
+    time.  Each trial uses the deterministic seed
+    trial_seed(base_seed, n, rate, trial), so results do not depend on
+    execution order or worker count.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    for rate in rate_grid:
-        if not 0.0 <= rate <= 1.0:
-            raise ValidationError(f"rate must lie in [0, 1], got {rate}")
-    for n in n_list:
-        for rate in rate_grid:
-            _check_sweep_budget(n, rate, q, max_expected_size)
+    _check_search(p, ell, L, q)
+    if len(set(n_list)) != len(n_list) or any(a >= b for a, b in zip(rate_grid, rate_grid[1:])):
+        raise ValidationError(f"need distinct n, strictly increasing rates: {n_list}, {rate_grid}")
+    points = [(n, float(rate)) for n in n_list for rate in rate_grid]
+    for n, rate in points:
+        RandomCodeSpec(n, rate, q, 0)  # checks n, rate and q
+    for n, rate in points:
+        if float(q) ** (n * rate) > max_expected_size:
+            raise BudgetError(
+                f"(n={n}, rate={rate}): expected code size {float(q) ** (n * rate):.3g} "
+                f"exceeds the cap {max_expected_size}"
+            )
 
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
-    points = [(n, float(rate)) for n in n_list for rate in rate_grid]
     caps = (max_expected_size, max_subsets)
     tasks = [
         (n, rate, q, p, ell, L, trial_seed(base_seed, n, rate, t), *caps)

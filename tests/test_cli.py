@@ -272,3 +272,17 @@ def test_infinite_eps_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "epsilon" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "-5", "--rates", "0.3"], ["--n", "10", "--rates", "0.4", "0.3"],
+     ["--n", "10", "10", "--rates", "0.3"]],
+)
+def test_invalid_sweep_grids_exit_2(capsys, flags):
+    code, out, err = _capture(
+        capsys, ["simulate", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2", *flags,
+                 "--trials", "2", "--seed", "1"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

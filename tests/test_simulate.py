@@ -438,3 +438,73 @@ def test_sweep_fraction_bounds_and_rows():
     for r in rep.rows:
         assert 0.0 <= r.fraction <= 1.0
         assert r.satisfied == round(r.fraction * r.trials)
+
+
+def _tetracode():
+    return [(a, b, (a + b) % 3, (a + 2 * b) % 3) for a in range(3) for b in range(3)]
+
+
+def test_search_answers_do_not_depend_on_the_table_chunk_size(monkeypatch):
+    cases = []
+    for seed in range(8):
+        for n, rate, q, L in ((9, 0.45, 2, 3), (5, 0.6, 3, 3), (8, 0.5, 2, 4)):
+            cases += [(RandomCodeSpec(n, rate, q, seed), 1, L, p) for p in (0.1, 0.2, 0.3)]
+    for seed in range(6):
+        for n, rate, q, ell in ((10, 0.18, 4, 2), (10, 0.16, 5, 2), (16, 0.085, 6, 3)):
+            cases += [
+                (RandomCodeSpec(n, rate, q, seed), ell, L, p)
+                for L in (ell + 1, ell + 2) for p in (0.0, 0.1)
+            ]
+    expected = []
+    for spec, ell, L, p in cases:
+        words = [tuple(w) for w in sample_random_code(spec).tolist()]
+        expected.append(_first_bad_by_subset_scan(words, p, ell, L, spec.q))
+    big = sample_random_code(RandomCodeSpec(20, 0.25, 4, trial_seed(0, 20, 0.25, 2)))
+    big_cert = contains_bad_matrix(big, p=0.0, ell=2, L=4, q=4)[1]
+    assert len(big) > 1000 and big_cert is not None
+
+    # 1 byte: one row per block; 2**40: one block per prefix.
+    for table_bytes in (1, 2**40):
+        monkeypatch.setattr("codethresh.simulate._TABLE_BYTES", table_bytes)
+        for (spec, ell, L, p), cert in zip(cases, expected):
+            code = sample_random_code(spec)
+            assert contains_bad_matrix(code, p=p, ell=ell, L=L, q=spec.q)[1] == cert
+        assert contains_bad_matrix(big, p=0.0, ell=2, L=4, q=4)[1] == big_cert
+        code = _tetracode()
+        assert contains_bad_matrix(code, p=0.0, ell=2, L=3, q=3, max_subsets=84) == (False, None)
+        with pytest.raises(BudgetError):
+            contains_bad_matrix(code, p=0.0, ell=2, L=3, q=3, max_subsets=83)
+        code = [(i, i) for i in range(5)]
+        assert contains_bad_matrix(code, p=0.5, ell=1, L=3, q=5, max_subsets=10) == (False, None)
+        with pytest.raises(BudgetError):
+            contains_bad_matrix(code, p=0.5, ell=1, L=3, q=5, max_subsets=9)
+
+
+def test_search_runs_one_count_test_per_first_row(monkeypatch):
+    # One pair table per first row of the tetracode, not one test per (row, row).
+    from codethresh import simulate
+
+    calls = []
+    real = simulate._spread
+    monkeypatch.setattr(simulate, "_spread", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert contains_bad_matrix(_tetracode(), p=0.0, ell=2, L=3, q=3) == (False, None)
+    assert 0 < len(calls) <= 9
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(n_list=[10, -5]), dict(n_list=[0]), dict(L=0), dict(q=1, ell=1), dict(ell=0),
+        dict(ell=3), dict(p=-0.1), dict(p=1.5), dict(p=math.nan),
+        dict(n_list=[10, 10]), dict(rate_grid=[0.4, 0.3]), dict(rate_grid=[0.2, 0.2]),
+    ],
+)
+def test_sweep_validates_inputs_before_seeding(monkeypatch, change):
+    def no_seeding(*args):
+        raise AssertionError("seeded before validating")
+
+    monkeypatch.setattr("codethresh.simulate.trial_seed", no_seeding)
+    kwargs = dict(n_list=[10], rate_grid=[0.2, 0.3], trials=2, p=0.1, ell=1, L=3, q=2,
+                  base_seed=1, workers=2)
+    with pytest.raises(ValidationError):
+        empirical_threshold_sweep(**{**kwargs, **change})
