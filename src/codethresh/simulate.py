@@ -14,18 +14,21 @@ violation counts; counts above the budget are clipped and such states
 dropped as unrecoverable.  Per coordinate only the distinct coverage
 patterns matter: every size-ell set K induces the same pattern as its
 intersection with the symbols actually present, so at most
-C(min(q, L), ell) transitions are enumerated instead of C(q, ell).
+C(min(q, L), ell) transitions are built, once per distinct symbol column.
 
-Codes are lexicographically sorted (M, n) symbol arrays.  Badness is
-hereditary: the K-sets of a bad tuple leave each of its sub-tuples bad.
-So one depth-first search over ascending row prefixes, for every ell,
-extends a prefix only by rows with which each (ell+1)-subset passes a
-count test: at most (ell+1)*floor(p*n) coordinates carry ell+1 distinct
-symbols, as each such coordinate leaves one of them uncovered.  For
-ell = 1 this is the Hamming test d <= 2*floor(p*n).  With L = ell+1 the
-test is exact, since those misses may go to any column and so spread
-evenly; for larger L the DP decides the L-tuples that pass.  The search
-returns at the first bad tuple.
+Codes are lexicographically sorted (M, n) symbol arrays.  A searched
+code's words are read once as base-q uint64 keys: one stable sort of them
+proves the words distinct, and for binary codes of n <= 64 the one key is
+the packed word the search compares (the sampler deduplicates by the same
+keys).  Badness is hereditary: the K-sets of a bad tuple leave each of its
+sub-tuples bad.  So one depth-first search over ascending row prefixes,
+for every ell, extends a prefix only by rows with which each
+(ell+1)-subset passes a count test: at most (ell+1)*floor(p*n)
+coordinates carry ell+1 distinct symbols, as each such coordinate leaves
+one of them uncovered.  For ell = 1 this is the Hamming test
+d <= 2*floor(p*n).  With L = ell+1 the test is exact, since those misses
+may go to any column and so spread evenly; for larger L the DP decides
+the L-tuples that pass.  The search returns at the first bad tuple.
 
 The tests run in one pair table per prefix P, not one array call per
 (prefix, row): for candidates w < x it says whether {S, w, x} passes for
@@ -33,12 +36,15 @@ every (ell-1)-set S of P's rows, and the walk reads the candidates of
 P + [w] from row w.  Tables fill lazily, a chunk of rows at a time, each
 chunk one broadcast block over the later candidates (a popcount of
 packed words for binary codes at ell = 1), so an early stop wastes little.
+Each chunk counts the candidates its rows keep, and the walk skips with no
+call the rows left with too few for a full tuple.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -146,12 +152,31 @@ def trial_seed(base_seed: int, n: int, rate: float, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """Rows as base-``base`` uint64 keys, most significant digit first: a (keys, M) array.
+
+    Each key holds as many digits as fit in 64 bits, so a row of n digits is
+    one key when base^n <= 2^64, and comparing two rows' key columns
+    compares the rows lexicographically.
+    """
+    n, base = rows.shape[1], int(base)
+    digits = max(1, 64 // (base - 1).bit_length())  # base <= 2^k, so base^(64 // k) fits
+    while base ** (digits + 1) <= 1 << 64:
+        digits += 1
+    powers = np.array([base**i for i in range(min(n, digits))][::-1], np.uint64)
+    wide = rows.astype(np.uint64)
+    chunks = [wide[:, a : a + digits] for a in range(0, max(1, n), digits)]
+    return np.stack([c @ powers[len(powers) - c.shape[1] :] for c in chunks])
+
+
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows, sorted by their bytes."""
-    rows = np.ascontiguousarray(rows)
-    width = rows.shape[1] * rows.itemsize
-    flat = np.unique(rows.view(np.dtype((np.void, width))).ravel())
-    return flat.view(rows.dtype).reshape(len(flat), rows.shape[1])
+    """Distinct rows in lexicographic order, keyed in base max symbol + 1."""
+    keys = _row_keys(rows, max(2, int(rows.max()) + 1) if rows.size else 2)
+    order = np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    new = np.ones(len(order), bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(0)
+    return rows[order[new]]
 
 
 def sample_random_code(
@@ -257,12 +282,14 @@ def is_bad_tuple(
     start = (0,) * L
     states: set[tuple[int, ...]] = {start}
     trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    for i in range(n):
-        syms = tuple(col[i] for col in cols)
+    patterns: dict[tuple[int, ...], list] = {}  # per distinct symbol column, this call only
+    for syms in zip(*cols):
+        if syms not in patterns:
+            patterns[syms] = _coverage_patterns(syms, ell, q)
         step: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for miss, core in _coverage_patterns(syms, ell, q):
+        for miss, core in patterns[syms]:
             for st in states:
-                nxt = tuple(st[j] + miss[j] for j in range(L))
+                nxt = tuple(map(operator.add, st, miss))
                 if max(nxt) > budget:
                     continue
                 if nxt not in step:
@@ -287,10 +314,10 @@ def is_bad_tuple(
 # Whole-code search
 
 
-def _code_array(code, q: int) -> np.ndarray:
-    """The code as an (M, n) integer array of distinct words over 0..q-1."""
+def _code_array(code, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The code as an (M, n) integer array of distinct words over 0..q-1, and its base-q keys."""
     if len(code) == 0:
-        return np.empty((0, 0), dtype=np.uint8)
+        return np.empty((0, 0), dtype=np.uint8), np.zeros((1, 0), np.uint64)
     try:
         arr = np.asarray(code)
     except ValueError as exc:
@@ -299,9 +326,11 @@ def _code_array(code, q: int) -> np.ndarray:
         raise ValidationError("codewords must be nonempty integer words of one length")
     if arr.min() < 0 or arr.max() >= q:
         raise ValidationError(f"codeword symbols must lie in 0..{q - 1}")
-    if len(_unique_rows(arr)) != len(arr):
+    keys = _row_keys(arr, q)
+    ordered = keys[:, np.lexsort(keys[::-1])]
+    if (ordered[:, 1:] == ordered[:, :-1]).all(0).any():
         raise ValidationError("code must consist of distinct codewords")
-    return arr
+    return arr, keys
 
 
 def _spread(ref, rows: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -320,53 +349,57 @@ def _spread(ref, rows: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _first_bad_tuple(
-    arr: np.ndarray, p: float, ell: int, L: int, q: int, max_subsets: int
+    arr: np.ndarray, keys: np.ndarray, p: float, ell: int, L: int, q: int, max_subsets: int
 ) -> Optional[BadnessCertificate]:
     """First bad L-tuple of rows in lexicographic index order, or None.
 
     Depth first over ascending prefixes; a prefix with at least ell-1 rows
     and two or more to add gets a pair table (module docstring), whose
-    chunks hold about _TABLE_BYTES of candidate words, coordinates first.
+    chunks hold about _TABLE_BYTES of candidate words, coordinates first,
+    or of the rows' one base-2 ``keys`` for binary codes at ell = 1.
     The DP decides the L-tuples that pass; when L <= ell+1 the test is
     exact, and the DP only writes the first one's certificate.
     """
     n = arr.shape[1]
     limit = (ell + 1) * math.floor(p * n)
-    packed = ell == 1 and q == 2 and n <= 64
-    if packed:
-        words = (arr.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(1, np.uint64)
-    else:
-        words = np.ascontiguousarray(arr.T)
+    # One base-2 key is the packed word; a popcount of XOR ignores the bit order.
+    packed = ell == 1 and q == 2 and len(keys) == 1
+    words = keys[0] if packed else np.ascontiguousarray(arr.T)
 
-    def pair_table(prefix: list[int], cand: list[int]):
-        # Row k: the candidates after cand[k] that pass every test with prefix + [cand[k]].
-        index, rows = np.array(cand), []
+    def pair_table(prefix: list[int], cand: list[int], least: int):
+        # (k, the candidates after cand[k] that pass every test with prefix + [cand[k]]),
+        # in order of k, for the rows k that keep at least ``least`` of them.
+        index = np.array(cand)
         block = words.take(index, axis=-1)
         column = block.nbytes // len(cand)
         refs = [arr[list(s), :, None, None] for s in itertools.combinations(prefix, ell - 1)]
-
-        def row(k: int) -> list[int]:
-            while len(rows) <= k:
-                i0 = len(rows)
-                width = len(cand) - i0 - 1
-                i1 = min(len(cand), i0 + max(1, _TABLE_BYTES // (width * column)))
-                if packed:
-                    ok = np.bitwise_count(block[i0:i1, None] ^ block[i0 + 1 :]) <= limit
-                else:
-                    w, x = block[:, i0:i1, None], block[:, None, i0 + 1 :]
-                    ok = np.logical_and.reduce([_spread([w, *s], x, 0) <= limit for s in refs])
-                # Passing pairs in row-major order; keep those past each row's own column.
-                r, j = np.divmod(np.flatnonzero(ok), width)
-                keep = j >= r
-                hits = index[i0 + 1 :][j[keep]].tolist()
-                ends = np.bincount(r[keep], minlength=i1 - i0).cumsum().tolist()
-                rows.extend(hits[a:b] for a, b in itertools.pairwise([0, *ends]))
-            out, rows[k] = rows[k], None  # the walk reads each row once
-            return out
-
-        return row
+        i0 = 0
+        while i0 < len(cand) - least:  # later rows have fewer candidates left
+            width = len(cand) - i0 - 1
+            i1 = min(len(cand), i0 + max(1, _TABLE_BYTES // (width * column)))
+            if packed:
+                ok = np.bitwise_count(block[i0:i1, None] ^ block[i0 + 1 :]) <= limit
+            else:
+                w, x = block[:, i0:i1, None], block[:, None, i0 + 1 :]
+                ok = np.logical_and.reduce([_spread([w, *s], x, 0) <= limit for s in refs])
+            # Passing pairs in row-major order; keep those past each row's own column.
+            r, j = np.divmod(np.flatnonzero(ok), width)
+            keep = j >= r
+            hits = index[i0 + 1 :][j[keep]].tolist()
+            ends = np.bincount(r[keep], minlength=i1 - i0).cumsum().tolist()
+            for k, (a, b) in enumerate(itertools.pairwise([0, *ends]), i0):
+                if b - a >= least:
+                    yield k, hits[a:b]
+            i0 = i1
 
     tested = 0
+
+    def charge(start: int, c: int, done: int) -> int:
+        # Last level: each of the first ``done`` of c candidates, skipped or not,
+        # was tested against every later one.
+        if (total := start + done * (2 * c - done - 1) // 2) > max_subsets:
+            raise BudgetError(f"more than {max_subsets} candidate {L}-tuples tested")
+        return total
 
     def extend(prefix: list[int], cand: list[int]) -> Optional[BadnessCertificate]:
         # ``cand``: ascending rows after the prefix that pass every test with it.
@@ -378,15 +411,19 @@ def _first_bad_tuple(
                 if cert is not None:
                     return cert
             return None
-        table = pair_table(prefix, cand) if len(cand) >= need and len(prefix) >= ell - 1 else None
-        for k in range(len(cand) - need + 1):  # each leaves enough rows for a full tuple
+        if len(cand) >= need and len(prefix) >= ell - 1:
+            rows = pair_table(prefix, cand, need - 1)
+        else:  # each row leaves enough later ones for a full tuple
+            rows = ((k, cand[k + 1 :]) for k in range(len(cand) - need + 1))
+        start = tested
+        for k, later in rows:
             if need == 2:
-                tested += len(cand) - k - 1
-                if tested > max_subsets:
-                    raise BudgetError(f"more than {max_subsets} candidate {L}-tuples tested")
-            cert = extend(prefix + [cand[k]], table(k) if table else cand[k + 1 :])
+                tested = charge(start, len(cand), k + 1)
+            cert = extend(prefix + [cand[k]], later)
             if cert is not None:
                 return cert
+        if need == 2:
+            tested = charge(start, len(cand), len(cand))
         return None
 
     return extend([], list(range(len(arr))))
@@ -409,16 +446,17 @@ def contains_bad_matrix(
 ) -> tuple[bool, Optional[BadnessCertificate]]:
     """Whether some L distinct codewords of the code form a bad tuple.
 
-    The code is an (M, n) array or a sequence of words.  Tuples are tried
-    in lexicographic order of row indices and the first bad one is
-    returned, pruned by the (ell+1)-subset count test, which runs in one
-    lazily filled pair table per search prefix.  A tuple counts as
-    tested when the count test checks its last row against a surviving
-    prefix of L-1 rows, whether or not the DP then runs on it; for every
-    ell, BudgetError is raised once more than ``max_subsets`` are tested.
+    The code is an (M, n) array or a sequence of words, keyed once in base
+    q.  Tuples are tried in lexicographic order of row indices and the
+    first bad one is returned, pruned by the (ell+1)-subset count test,
+    which runs in one lazily filled pair table per search prefix.  A tuple
+    counts as tested when the count test checks its last row against a
+    surviving prefix of L-1 rows, whether or not the DP then runs on it;
+    for every ell, BudgetError is raised once more than ``max_subsets``
+    are tested.
     """
     _check_search(p, ell, L, q)
-    cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q, max_subsets)
+    cert = _first_bad_tuple(*_code_array(code, q), p, ell, L, q, max_subsets)
     return cert is not None, cert
 
 

@@ -16,6 +16,7 @@ from codethresh.errors import BudgetError, ValidationError
 from codethresh.oracle import brute_force_badness
 from codethresh.simulate import (
     RandomCodeSpec,
+    _row_keys,
     _spread,
     _unique_rows,
     contains_bad_matrix,
@@ -89,6 +90,31 @@ def test_sampled_codes_match_frozen_digests(key):
     size, digest = FROZEN_CODES[key]
     assert code.dtype == np.uint8 and code.shape == (size, key[0])
     assert hashlib.sha256(code.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "q, n, keys",
+    [
+        (2, 5, 1), (2, 64, 1), (2, 65, 2), (3, 40, 1), (3, 41, 2), (4, 32, 1), (4, 33, 2),
+        (7, 23, 2), (256, 8, 1), (256, 9, 2), (300, 7, 1), (300, 15, 3),
+    ],
+)
+def test_unique_rows_matches_a_set_of_tuples(q, n, keys):
+    # Keys are in base max symbol + 1 = q; a row needs more than one past q^n > 2^64.
+    dtype = np.dtype(np.uint8 if q <= 256 else ">u8")
+    rng = np.random.default_rng(1000 * q + n)
+    assert _unique_rows(np.empty((0, n), dtype)).shape == (0, n)
+    for m in (1, 5, 60):
+        rows = rng.integers(0, q, size=(m, n))
+        rows[0, 0] = q - 1
+        last = rows[:3].copy()  # equal to rows 0-2 up to the last symbol
+        last[:, -1] = (last[:, -1] + 1) % q
+        rows = np.concatenate([rows, rows[::-2], last, np.zeros((2, n), int)]).astype(dtype)
+        rows = rows[rng.permutation(len(rows))]
+        assert len(_row_keys(rows, q)) == keys
+        out = _unique_rows(rows)
+        assert out.dtype == dtype
+        assert list(map(tuple, out.tolist())) == sorted(set(map(tuple, rows.tolist())))
 
 
 def test_sample_mean_size_matches_binomial():
@@ -247,6 +273,69 @@ def test_contains_bad_matrix_first_bad_tuple_for_larger_ell():
     assert 0.2 * cases < found_cases < 0.8 * cases
 
 
+def test_packed_words_end_at_64_binary_symbols(monkeypatch):
+    # Binary ell = 1 codes are searched on packed one-key words up to n = 64.
+    popcounts = []
+    real = np.bitwise_count
+    monkeypatch.setattr(np, "bitwise_count", lambda *a: popcounts.append(1) or real(*a))
+    found = 0
+    for n in (63, 64, 65):
+        rng = np.random.default_rng(n)
+        popcounts.clear()
+        for _ in range(6):
+            center = rng.integers(0, 2, size=n)
+            near = [center ^ (rng.permutation(n) < rng.integers(3, 6)) for _ in range(5)]
+            code = np.unique(np.vstack([*near, rng.integers(0, 2, size=(4, n))]), axis=0)
+            code = code[rng.permutation(len(code))].astype(np.uint8)
+            words = [tuple(w) for w in code.tolist()]
+            cert = contains_bad_matrix(code, p=0.05, ell=1, L=3, q=2)[1]
+            assert cert == _first_bad_by_subset_scan(words, 0.05, 1, 3, 2)
+            found += cert is not None
+        assert bool(popcounts) == (n <= 64)
+    assert 2 < found < 16
+
+
+def test_tested_tuples_include_rows_without_candidates():
+    # Codes with no bad triple whose rows mostly have fewer than two close later
+    # rows: the walk skips those, and still counts C(|N(a)|, 2) tuples per row a.
+    for seed in (12, 13):
+        code = sample_random_code(RandomCodeSpec(16, 0.35, 2, seed))
+        close = (code[:, None, :] != code[None, :, :]).sum(2) <= 2 * math.floor(0.15 * 16)
+        later = [int(close[a, a + 1 :].sum()) for a in range(len(code))]
+        assert sum(k < 2 for k in later) > len(code) / 2
+        total = sum(math.comb(k, 2) for k in later)
+        assert total > 0
+        assert contains_bad_matrix(code, 0.15, 1, 3, 2, max_subsets=total) == (False, None)
+        with pytest.raises(BudgetError):
+            contains_bad_matrix(code, 0.15, 1, 3, 2, max_subsets=total - 1)
+
+
+def _certificate_digest():
+    rng = np.random.default_rng(200904553)
+    digest = hashlib.sha256()
+    for q, ell, L, p in itertools.product((2, 3, 4), (1, 2), (3, 4), (0.0, 0.1, 0.2)):
+        for _ in range(6):
+            n = int(rng.integers(4, 12))
+            center = rng.integers(0, q, size=n)
+            words = set()
+            while len(words) < L:
+                noisy = np.where(rng.random(n) < 0.3, rng.integers(0, q, size=n), center)
+                words.add(tuple(noisy.tolist()))
+            cert = is_bad_tuple(sorted(words), p=p, ell=ell, q=q)
+            if cert is not None:
+                ksets = tuple(tuple(sorted(k)) for k in cert.k_sets)
+                cert = (cert.column_codewords, ksets, cert.violation_counts, cert.budget)
+            digest.update(repr(cert).encode())
+    return digest.hexdigest()
+
+
+def test_certificates_match_frozen_digest():
+    # 216 seeded tuples, 95 of them bad; the digest was recorded before the DP
+    # shared coverage patterns between coordinates.
+    digest = "61ba02311f2a6b2a88cba46381199797979097fcbeddcae3fccab7ac9616e9bd"
+    assert _certificate_digest() == digest
+
+
 def test_count_test_is_exact_for_ell_plus_one_columns():
     # L = ell + 1: a tuple is bad exactly when at most (ell + 1) * floor(p * n)
     # coordinates carry ell + 1 distinct symbols.
@@ -303,6 +392,15 @@ def test_contains_bad_matrix_validates_array_input():
         contains_bad_matrix(code + 1, p=0.1, ell=1, L=3, q=2)
     with pytest.raises(ValidationError):
         contains_bad_matrix([(0, 1), (1,)], p=0.1, ell=1, L=3, q=2)
+    # 70 binary symbols take two keys; rows 0 and 1 share the first one.
+    rows = np.random.default_rng(70).integers(0, 2, size=(4, 70)).astype(np.uint8)
+    rows[1, :64] = rows[0, :64]
+    rows[1, -1] = 1 - rows[0, -1]
+    assert contains_bad_matrix(rows, p=0.0, ell=1, L=3, q=2) == (False, None)
+    with pytest.raises(ValidationError):
+        contains_bad_matrix(rows[[0, 1, 0]], p=0.0, ell=1, L=3, q=2)
+    with pytest.raises(ValidationError):  # an unsorted duplicate
+        contains_bad_matrix(np.vstack([code[::-1], code[3:4]]), p=0.1, ell=1, L=3, q=2)
 
 
 def test_contains_bad_matrix_budget_error():
