@@ -211,48 +211,30 @@ def _parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv"), default=argparse.SUPPRESS,
         help=argparse.SUPPRESS,
     )
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--p", type=float, required=True)
+    code = argparse.ArgumentParser(add_help=False)
+    for name in ("--ell", "--L", "--q"):
+        code.add_argument(name, type=int, required=True)
+    grid = argparse.ArgumentParser(add_help=False)
+    for name in ("--p-min", "--p-max", "--p-step"):
+        grid.add_argument(name, type=float, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("threshold", parents=[common], help="R* for one (p, ell, L, q)")
-    t.add_argument("--p", type=float, required=True)
-    t.add_argument("--ell", type=int, required=True)
-    t.add_argument("--L", type=int, required=True)
-    t.add_argument("--q", type=int, required=True)
+    t = sub.add_parser("threshold", parents=[common, point, code],
+                       help="R* for one (p, ell, L, q)")
     t.add_argument("--eps", type=float, default=1e-6)
-
-    s = sub.add_parser("sweep", parents=[common], help="exact R* vs KL estimate over p")
-    s.add_argument("--ell", type=int, required=True)
-    s.add_argument("--L", type=int, required=True)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--p-min", type=float, required=True)
-    s.add_argument("--p-max", type=float, required=True)
-    s.add_argument("--p-step", type=float, required=True)
-
-    lv = sub.add_parser("levelsets", parents=[common], help="level-set profile dump")
-    lv.add_argument("--ell", type=int, required=True)
-    lv.add_argument("--L", type=int, required=True)
-    lv.add_argument("--q", type=int, required=True)
-
-    sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo threshold sweep")
-    sim.add_argument("--p", type=float, required=True)
-    sim.add_argument("--ell", type=int, required=True)
-    sim.add_argument("--L", type=int, required=True)
-    sim.add_argument("--q", type=int, required=True)
+    sub.add_parser("sweep", parents=[common, code, grid],
+                   help="exact R* vs KL estimate over p")
+    sub.add_parser("levelsets", parents=[common, code], help="level-set profile dump")
+    sim = sub.add_parser("simulate", parents=[common, point, code],
+                         help="Monte Carlo threshold sweep")
     sim.add_argument("--n", type=int, nargs="+", required=True)
     sim.add_argument("--rates", type=float, nargs="+", required=True)
     sim.add_argument("--trials", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
-
-    r = sub.add_parser("rlc", parents=[common], help="implied-type scan over p")
-    r.add_argument("--p-min", type=float, required=True)
-    r.add_argument("--p-max", type=float, required=True)
-    r.add_argument("--p-step", type=float, required=True)
-
-    toy = sub.add_parser("toy", parents=[common], help="toy-property rate pair over p")
-    toy.add_argument("--p-min", type=float, required=True)
-    toy.add_argument("--p-max", type=float, required=True)
-    toy.add_argument("--p-step", type=float, required=True)
-
+    sub.add_parser("rlc", parents=[common, grid], help="implied-type scan over p")
+    sub.add_parser("toy", parents=[common, grid], help="toy-property rate pair over p")
     v = sub.add_parser("verify", parents=[common], help="oracle-equivalence suite")
     v.add_argument("--quick", action="store_true", help="smaller grids and corpora")
     return parser

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .qmath import kl_q, q_ary_entropy
 __all__ = [
     "ThresholdQuery",
     "ThresholdResult",
-    "DualObjective",
     "beta",
     "threshold_rate",
     "threshold_rates",
@@ -96,61 +95,6 @@ class ThresholdResult:
     error_bound: float
 
 
-class DualObjective:
-    """g(alpha) = log_q(sum_d |D_d| q^{alpha d}) - alpha p L and its derivatives.
-
-    ``p`` may be one number or an array; ``alpha`` broadcasts against it.
-    Evaluation factors each row's max term out of the exponential sum; the
-    q^{alpha d} weights span hundreds of orders of magnitude near the left
-    end of the bracket.
-    """
-
-    def __init__(self, profile: LevelProfile, p: float | Sequence[float]):
-        self.profile = profile
-        self.p = np.asarray(p, dtype=float)
-        q, L = profile.params.q, profile.params.L
-        self.q, self.L = q, L
-        self.ln_q = math.log(q)
-        levels = [d for d, lc in enumerate(profile.log_counts) if lc != -math.inf]
-        self._d = np.array(levels, dtype=float)
-        self._lc = np.array([profile.log_counts[d] for d in levels], dtype=float)
-
-    def moments(self, alpha: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """log_q Z, mean and variance of the level law weighted |D_d| q^{alpha d}.
-
-        g = log_q Z - alpha p L, g' = mean - p L and g'' = ln q * variance.
-        """
-        alpha = np.asarray(alpha, dtype=float)
-        w = self._lc + alpha[..., None] * self._d
-        top = w.max(axis=-1, keepdims=True)
-        z = np.exp((w - top) * self.ln_q)
-        total = z.sum(axis=-1, keepdims=True)
-        mean = (z * self._d).sum(axis=-1, keepdims=True) / total
-        var = (z * (self._d - mean) ** 2).sum(axis=-1, keepdims=True) / total
-        log_z = top + np.log(total) / self.ln_q
-        return log_z[..., 0], mean[..., 0], var[..., 0]
-
-    def value(self, alpha: float | np.ndarray) -> np.ndarray:
-        log_z, _, _ = self.moments(alpha)
-        return log_z - alpha * self.p * self.L
-
-    def derivative(self, alpha: float | np.ndarray) -> np.ndarray:
-        _, mean, _ = self.moments(alpha)
-        return mean - self.p * self.L
-
-    def bracket(self) -> tuple[np.ndarray, float]:
-        """Interval containing the minimizer when 0 < pL < t*.
-
-        At the left end lo = -(L + log_q(1/p)) every level d >= 1 weighs
-        at most |D_d| (p q^{-L})^d <= q^L (p q^{-L})^d against |D_0| >= q,
-        so the mean is below 2p/q < pL and g'(lo) < 0.  log_q(1/p) is
-        taken as -ln(p)/ln(q), which stays finite for subnormal p.
-        """
-        if not np.all(self.p > 0.0):
-            raise DomainError("the dual bracket requires p > 0")
-        return -(self.L - np.log(self.p) / self.ln_q), 0.0
-
-
 def _zero_rate(profile: LevelProfile, p: float) -> bool:
     """pL >= t*, decided exactly: p = num/den and t* = penalty_sum / q^L."""
     num, den = float(p).as_integer_ratio()
@@ -158,31 +102,54 @@ def _zero_rate(profile: LevelProfile, p: float) -> bool:
     return num * L * q**L >= profile.penalty_sum * den
 
 
-def _certified_bounds(
-    dual: DualObjective, alpha: np.ndarray, p_l: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """g, g', g'' at alpha, with a lower bound on beta that alpha certifies.
+def _dual(profile: LevelProfile, p: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """The bracket's left end lo for each p > 0, and an evaluator of the dual.
 
-    For alpha <= 0, g(alpha) >= beta by weak duality.  The tilted law mu_alpha
-    (mass q^{alpha d(v)} / Z on each vector v) has entropy
+    ``evaluate(alpha, p_l)`` gives per row g, g', g'' at alpha and the lower
+    bound on beta that alpha certifies, at pL = ``p_l``.  Each row's largest
+    term is factored out of the sum Z of |D_d| q^{alpha d}: the weights span
+    hundreds of orders of magnitude near lo.
+
+    For alpha <= 0, g(alpha) >= beta by weak duality.  The tilted law
+    mu_alpha (mass q^{alpha d(v)} / Z on each vector v) has entropy
     H = g - alpha g'.  If its mean is at most pL (g' <= 0) it is feasible
     and beta >= H.  Otherwise mixing it with the uniform law on D_0 (mean 0,
     entropy log_q |D_0|) at weight t = g' / mean brings the mean down to pL,
     and by concavity of entropy beta >= (1 - t) H + t log_q |D_0|.
+
+    The minimizer lies in [lo, 0] when 0 < pL < t*: at lo = -(L + log_q(1/p))
+    every level d >= 1 weighs at most |D_d| (p q^{-L})^d <= q^L (p q^{-L})^d
+    against |D_0| >= q, so the mean is below 2p/q < pL and g'(lo) < 0.
+    log_q(1/p) is taken as -ln(p)/ln(q), which stays finite for subnormal p.
     """
-    log_z, mean, var = dual.moments(alpha)
-    g = log_z - alpha * p_l
-    grad = mean - p_l
-    entropy = g - alpha * grad
-    over = np.divide(grad, mean, out=np.zeros_like(grad), where=grad > 0.0)
-    lower = entropy - over * (entropy - dual.profile.log_counts[0])
-    return g, grad, dual.ln_q * var, lower
+    ln_q, L = math.log(profile.params.q), profile.params.L
+    levels = [d for d, lc in enumerate(profile.log_counts) if lc != -math.inf]
+    # Two contiguous arrays, built once per solve: (2,1,2000) has 2,001 levels.
+    d = np.array(levels, dtype=float)
+    lc = np.array([profile.log_counts[k] for k in levels], dtype=float)
+    log_d0 = profile.log_counts[0]
+
+    def evaluate(alpha: np.ndarray, p_l: np.ndarray) -> tuple[np.ndarray, ...]:
+        w = lc + alpha[..., None] * d
+        top = w.max(axis=-1, keepdims=True)
+        z = np.exp((w - top) * ln_q)
+        total = z.sum(axis=-1, keepdims=True)
+        mean = (z * d).sum(axis=-1, keepdims=True) / total
+        var = (z * (d - mean) ** 2).sum(axis=-1, keepdims=True) / total
+        g = (top + np.log(total) / ln_q)[..., 0] - alpha * p_l
+        mean = mean[..., 0]
+        grad = mean - p_l
+        entropy = g - alpha * grad
+        over = np.divide(grad, mean, out=np.zeros_like(grad), where=grad > 0.0)
+        return g, grad, ln_q * var[..., 0], entropy - over * (entropy - log_d0)
+
+    return -(L - np.log(p) / ln_q), evaluate
 
 
 def _solve_dual(
-    dual: DualObjective, eps: float
+    profile: LevelProfile, p: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize g for every p of ``dual`` at once; needs 0 < pL < t* per row.
+    """Minimize g for every p at once; needs 0 < pL < t* per row.
 
     Safeguarded Newton on g' (rtsafe, Numerical Recipes 9.4) from alpha = 0
     inside the bracket [lo, 0]: a Newton step that leaves the bracket, or
@@ -194,15 +161,15 @@ def _solve_dual(
     is <= 0 in floats although pL < t* exactly returns the continuity
     limit (L, 0, 0): the minimizer lies within rounding of alpha = 0.
     """
-    L = dual.L
-    p_l = dual.p * L
+    L = profile.params.L
+    p_l = p * L
+    lo, evaluate = _dual(profile, p)
     alpha = np.zeros_like(p_l)
-    g, grad, curv, lower = _certified_bounds(dual, alpha, p_l)
+    g, grad, curv, lower = evaluate(alpha, p_l)
     limit = grad <= 0.0
     upper = np.where(limit, float(L), g)
     lower = np.where(limit, float(L), lower)
     best = alpha.copy()
-    lo = dual.bracket()[0]
     hi = np.zeros_like(lo)
     step_old = hi - lo
     live = upper - lower > eps * L
@@ -222,7 +189,7 @@ def _solve_dual(
         moved = nxt != a
         live[rows[~moved]] = False
         rows, nxt = rows[moved], nxt[moved]
-        g, f, df, low = _certified_bounds(dual, nxt, p_l[rows])
+        g, f, df, low = evaluate(nxt, p_l[rows])
         alpha[rows], grad[rows], curv[rows] = nxt, f, df
         lo[rows] = np.where(f < 0.0, nxt, lo[rows])
         hi[rows] = np.where(f < 0.0, hi[rows], nxt)
@@ -250,8 +217,8 @@ def _threshold_results(
         else:
             dual_rows.append(i)
     if dual_rows:
-        dual = DualObjective(profile, [ps[i] for i in dual_rows])
-        betas, alphas, bounds = _solve_dual(dual, eps)
+        p = np.array([ps[i] for i in dual_rows], dtype=float)
+        betas, alphas, bounds = _solve_dual(profile, p, eps)
         for i, b, a, e in zip(dual_rows, betas.tolist(), alphas.tolist(), bounds.tolist()):
             out[i] = ThresholdResult(1.0 - b / L, b, a, "bisection", e)
     return out

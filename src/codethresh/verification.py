@@ -8,7 +8,7 @@ stays in the one-minute range (use quick=True for a smoke pass).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,32 +39,15 @@ def _solver_grid(max_L: int, p_step: float) -> list[tuple[float, int, int, int]]
     return points
 
 
-def _check_grid_oracle(quick: bool) -> dict[str, Any]:
-    grid = _solver_grid(max_L=4 if quick else 6, p_step=0.04 if quick else 0.02)
-    steps = 100_000 if quick else 300_000
+def _check_oracle(name: str, oracle: Callable, grid: list, **kwargs) -> dict[str, Any]:
+    """Worst |beta| gap between the solver and ``oracle(p, profile, **kwargs)``."""
     worst = 0.0
     for p, ell, L, q in grid:
         profile = level_profile(LevelSetParams(q, ell, L))
         exact = beta(ThresholdQuery(p, ell, L, q, epsilon=1e-9), profile)[0]
-        approx = beta_levelspace_oracle(p, profile, grid_steps=steps)
-        worst = max(worst, abs(exact - approx))
+        worst = max(worst, abs(exact - oracle(p, profile, **kwargs)))
     status = "PASS" if worst <= 1e-4 else "FAIL"
-    return {"check": "solver_vs_grid_oracle", "status": status,
-            "observed": worst, "bound": 1e-4}
-
-
-def _check_ascent_oracle(quick: bool) -> dict[str, Any]:
-    grid = _solver_grid(3 if quick else 6, 0.04 if quick else 0.02)
-    starts = 5
-    worst = 0.0
-    for p, ell, L, q in grid:
-        profile = level_profile(LevelSetParams(q, ell, L))
-        exact = beta(ThresholdQuery(p, ell, L, q, epsilon=1e-9), profile)[0]
-        approx = beta_ascent_oracle(p, profile, starts=starts)
-        worst = max(worst, abs(exact - approx))
-    status = "PASS" if worst <= 1e-4 else "FAIL"
-    return {"check": "solver_vs_ascent_oracle", "status": status,
-            "observed": worst, "bound": 1e-4}
+    return {"check": name, "status": status, "observed": worst, "bound": 1e-4}
 
 
 def _check_dp_vs_brute(quick: bool) -> dict[str, Any]:
@@ -108,9 +91,13 @@ def _check_level_counts(quick: bool) -> dict[str, Any]:
 
 def verification_report(quick: bool = False) -> list[dict[str, Any]]:
     """Run every cross-check and return one row per check."""
+    step = 0.04 if quick else 0.02
     return [
         _check_level_counts(quick),
-        _check_grid_oracle(quick),
-        _check_ascent_oracle(quick),
+        _check_oracle("solver_vs_grid_oracle", beta_levelspace_oracle,
+                      _solver_grid(4 if quick else 6, step),
+                      grid_steps=100_000 if quick else 300_000),
+        _check_oracle("solver_vs_ascent_oracle", beta_ascent_oracle,
+                      _solver_grid(3 if quick else 6, step), starts=5),
         _check_dp_vs_brute(quick),
     ]

@@ -286,3 +286,55 @@ def test_invalid_sweep_grids_exit_2(capsys, flags):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Each subcommand's argv, with its "parameters" keys and its --help options in
+# the order the parser declares them (recorded before the options were shared).
+_OPTION_ORDER = {
+    "threshold": (
+        ["--p", "0.1", "--ell", "1", "--L", "3", "--q", "2"],
+        ["p", "ell", "L", "q", "eps"],
+        ["--help", "--p", "--ell", "--L", "--q", "--eps"],
+    ),
+    "sweep": (
+        ["--ell", "1", "--L", "3", "--q", "2", "--p-min", "0.1", "--p-max", "0.1",
+         "--p-step", "0.1"],
+        ["ell", "L", "q", "p_min", "p_max", "p_step"],
+        ["--help", "--ell", "--L", "--q", "--p-min", "--p-max", "--p-step"],
+    ),
+    "levelsets": (
+        ["--ell", "1", "--L", "3", "--q", "2"],
+        ["ell", "L", "q"],
+        ["--help", "--ell", "--L", "--q"],
+    ),
+    "simulate": (
+        ["--p", "0.1", "--ell", "1", "--L", "3", "--q", "2", "--n", "8", "--rates", "0.3",
+         "--trials", "2", "--seed", "1"],
+        ["p", "ell", "L", "q", "n", "rates", "trials", "seed"],
+        ["--help", "--p", "--ell", "--L", "--q", "--n", "--rates", "--trials", "--seed"],
+    ),
+    "rlc": (
+        ["--p-min", "0.1", "--p-max", "0.1", "--p-step", "0.1"],
+        ["p_min", "p_max", "p_step"],
+        ["--help", "--p-min", "--p-max", "--p-step"],
+    ),
+    "toy": (
+        ["--p-min", "0.1", "--p-max", "0.1", "--p-step", "0.1"],
+        ["p_min", "p_max", "p_step"],
+        ["--help", "--p-min", "--p-max", "--p-step"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTION_ORDER))
+def test_options_keep_their_order(capsys, monkeypatch, command):
+    argv, keys, options = _OPTION_ORDER[command]
+    code, out, _ = _capture(capsys, [command, *argv])
+    assert code == 0
+    assert list(json.loads(out)["parameters"]) == keys
+
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = _capture(capsys, [command, "--help"])
+    assert code == 0
+    section = out.split("\noptions:\n", 1)[1]
+    assert re.findall(r"^  (?:-\w, )?(--[\w-]+)", section, re.M) == options

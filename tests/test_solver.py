@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,8 @@ from codethresh.errors import DomainError, ValidationError
 from codethresh.levels import LevelSetParams, level_profile
 from codethresh.oracle import composition_level_counts
 from codethresh.solver import (
-    DualObjective,
     ThresholdQuery,
+    _dual,
     beta,
     kl_estimate,
     list_of_two_rc_threshold,
@@ -150,24 +151,28 @@ def test_p_zero_closed_form():
     assert res.error_bound == 0.0
 
 
+def _bracket_slopes(params: LevelSetParams, p: float) -> tuple[float, np.ndarray]:
+    """The solver's left bracket end lo at p, and g' at lo and at 0."""
+    lo, evaluate = _dual(level_profile(params), np.array([p]))
+    return lo[0], evaluate(np.array([lo[0], 0.0]), np.full(2, p * params.L))[1]
+
+
 def test_dual_objective_is_convex_with_monotone_derivative():
     profile = level_profile(LevelSetParams(2, 1, 3))
-    dual = DualObjective(profile, 0.1)
-    alphas = [-6.0 + 0.5 * k for k in range(12)]
-    derivs = [dual.derivative(a) for a in alphas]
+    _, evaluate = _dual(profile, np.array([0.1]))
+    alphas = np.array([-6.0 + 0.5 * k for k in range(12)])
+    values, derivs, _, _ = evaluate(alphas, np.full(12, 0.1 * 3))
     assert all(d1 <= d2 + 1e-12 for d1, d2 in zip(derivs, derivs[1:]))
     # midpoint convexity of the objective itself
-    for a, b in zip(alphas, alphas[2:]):
-        mid = 0.5 * (a + b)
-        assert dual.value(mid) <= 0.5 * (dual.value(a) + dual.value(b)) + 1e-12
+    mids = evaluate(0.5 * (alphas[:-2] + alphas[2:]), np.full(10, 0.1 * 3))[0]
+    for mid, a, b in zip(mids, values, values[2:]):
+        assert mid <= 0.5 * (a + b) + 1e-12
 
 
 def test_dual_bracket_straddles_minimizer():
     for (p, ell, L, q) in FROZEN_BETA:
-        profile = level_profile(LevelSetParams(q, ell, L))
-        dual = DualObjective(profile, p)
-        lo, hi = dual.bracket()
-        assert dual.derivative(lo) < 0.0 < dual.derivative(hi)
+        _, slopes = _bracket_slopes(LevelSetParams(q, ell, L), p)
+        assert slopes[0] < 0.0 < slopes[1]
 
 
 def test_perfect_hashing_frozen_values():
@@ -278,10 +283,9 @@ def test_subnormal_p_gives_the_zero_error_threshold(p):
         res = threshold_rate(ThresholdQuery(p, ell, L, q))
         assert res.r_star == pytest.approx(zero_error_threshold(params), abs=1e-9)
         assert 0.0 <= res.error_bound <= 1e-6
-        dual = DualObjective(level_profile(params), p)
-        lo, hi = dual.bracket()
+        lo, slopes = _bracket_slopes(params, p)
         assert math.isfinite(lo)
-        assert dual.derivative(lo) < 0.0 < dual.derivative(hi)
+        assert slopes[0] < 0.0 < slopes[1]
 
 
 def test_grid_solve_matches_scalar_solves():
