@@ -16,19 +16,19 @@ patterns matter: every size-ell set K induces the same pattern as its
 intersection with the symbols actually present, so at most
 C(min(q, L), ell) transitions are built, once per distinct symbol column.
 
-Codes are lexicographically sorted (M, n) symbol arrays.  A searched
-code's words are read once as base-q uint64 keys: one stable sort of them
-proves the words distinct, and for binary codes of n <= 64 the one key is
-the packed word the search compares (the sampler deduplicates by the same
-keys).  Badness is hereditary: the K-sets of a bad tuple leave each of its
-sub-tuples bad.  So one depth-first search over ascending row prefixes,
-for every ell, extends a prefix only by rows with which each
-(ell+1)-subset passes a count test: at most (ell+1)*floor(p*n)
-coordinates carry ell+1 distinct symbols, as each such coordinate leaves
-one of them uncovered.  For ell = 1 this is the Hamming test
-d <= 2*floor(p*n).  With L = ell+1 the test is exact, since those misses
-may go to any column and so spread evenly; for larger L the DP decides
-the L-tuples that pass.  The search returns at the first bad tuple.
+Codes are lexicographically sorted (M, n) symbol arrays, and a row's bytes
+are its identity: the sampler and the search's input check both
+deduplicate words by one np.unique over a byte view of the rows.  For
+binary codes of n <= 64 at ell = 1 the search packs each word into one
+uint64 of its own.  Badness is hereditary: the K-sets of a bad tuple leave
+each of its sub-tuples bad.  So one depth-first search over ascending row
+prefixes, for every ell, extends a prefix only by rows with which each
+(ell+1)-subset passes a count test: at most (ell+1)*floor(p*n) coordinates
+carry ell+1 distinct symbols, as each such coordinate leaves one of them
+uncovered.  For ell = 1 this is the Hamming test d <= 2*floor(p*n).  With
+L = ell+1 the test is exact, since those misses may go to any column and
+so spread evenly; for larger L the DP decides the L-tuples that pass.  The
+search returns at the first bad tuple.
 
 The tests run in one pair table per prefix P, not one array call per
 (prefix, row): for candidates w < x it says whether {S, w, x} passes for
@@ -66,8 +66,11 @@ __all__ = [
     "empirical_threshold_sweep",
 ]
 
-#: Default cap on the expected code size q^{nR}.
-DEFAULT_SIZE_CAP = 2_000_000
+#: Cap on the expected code size q^{nR}.
+SIZE_CAP = 2_000_000
+
+#: Cap on the total trials of one sweep, all (n, rate) points together.
+TRIAL_BUDGET = 1_000_000
 
 #: Default cap on the number of candidate tuples checked per code.
 DEFAULT_SUBSET_CAP = 2_000_000
@@ -152,36 +155,23 @@ def trial_seed(base_seed: int, n: int, rate: float, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """Rows as base-``base`` uint64 keys, most significant digit first: a (keys, M) array.
-
-    Each key holds as many digits as fit in 64 bits, so a row of n digits is
-    one key when base^n <= 2^64, and comparing two rows' key columns
-    compares the rows lexicographically.
-    """
-    n, base = rows.shape[1], int(base)
-    digits = max(1, 64 // (base - 1).bit_length())  # base <= 2^k, so base^(64 // k) fits
-    while base ** (digits + 1) <= 1 << 64:
-        digits += 1
-    powers = np.array([base**i for i in range(min(n, digits))][::-1], np.uint64)
-    wide = rows.astype(np.uint64)
-    chunks = [wide[:, a : a + digits] for a in range(0, max(1, n), digits)]
-    return np.stack([c @ powers[len(powers) - c.shape[1] :] for c in chunks])
-
-
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows in lexicographic order, keyed in base max symbol + 1."""
-    keys = _row_keys(rows, max(2, int(rows.max()) + 1) if rows.size else 2)
-    order = np.lexsort(keys[::-1])
-    ordered = keys[:, order]
-    new = np.ones(len(order), bool)
-    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(0)
-    return rows[order[new]]
+    """Distinct rows, sorted by their bytes (lexicographic for unsigned big-endian symbols)."""
+    rows = np.ascontiguousarray(rows)
+    flat = np.unique(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel())
+    return flat.view(rows.dtype).reshape(len(flat), rows.shape[1])
 
 
-def sample_random_code(
-    spec: RandomCodeSpec, max_expected_size: int = DEFAULT_SIZE_CAP
-) -> np.ndarray:
+def _expected_size(n: int, rate: float, q: int) -> float:
+    """q^{nR}, or BudgetError past SIZE_CAP."""
+    if (expected := float(q) ** (n * rate)) > SIZE_CAP:
+        raise BudgetError(
+            f"(n={n}, rate={rate}): expected code size {expected:.3g} exceeds the cap {SIZE_CAP}"
+        )
+    return expected
+
+
+def sample_random_code(spec: RandomCodeSpec) -> np.ndarray:
     """Draw one random code, deterministically in the seed.
 
     The count M ~ Binomial(q^n, q^{-n(1-R)}) is sampled first (exactly, for
@@ -192,13 +182,8 @@ def sample_random_code(
     order carries no information.
     """
     n, q, rate = spec.n, spec.q, spec.rate
+    expected = _expected_size(n, rate, q)
     space = q**n
-    expected = float(q) ** (n * rate)
-    if expected > max_expected_size:
-        raise BudgetError(
-            f"expected code size q^(n*rate) = {expected:.3g} exceeds the cap "
-            f"{max_expected_size}; lower n or the rate"
-        )
     rng = np.random.default_rng(spec.seed)
     prob = float(q) ** -(n * (1.0 - rate))
     if space <= 2**63 - 1:
@@ -225,7 +210,7 @@ def sample_random_code(
 
 
 def _coverage_patterns(
-    syms: Sequence[int], ell: int, q: int
+    syms: Sequence[int], ell: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Distinct per-coordinate transitions: (miss indicator per column, K core).
 
@@ -285,7 +270,7 @@ def is_bad_tuple(
     patterns: dict[tuple[int, ...], list] = {}  # per distinct symbol column, this call only
     for syms in zip(*cols):
         if syms not in patterns:
-            patterns[syms] = _coverage_patterns(syms, ell, q)
+            patterns[syms] = _coverage_patterns(syms, ell)
         step: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for miss, core in patterns[syms]:
             for st in states:
@@ -314,10 +299,10 @@ def is_bad_tuple(
 # Whole-code search
 
 
-def _code_array(code, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The code as an (M, n) integer array of distinct words over 0..q-1, and its base-q keys."""
+def _code_array(code, q: int) -> np.ndarray:
+    """The code as an (M, n) integer array of distinct words over 0..q-1."""
     if len(code) == 0:
-        return np.empty((0, 0), dtype=np.uint8), np.zeros((1, 0), np.uint64)
+        return np.empty((0, 0), dtype=np.uint8)
     try:
         arr = np.asarray(code)
     except ValueError as exc:
@@ -326,11 +311,9 @@ def _code_array(code, q: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("codewords must be nonempty integer words of one length")
     if arr.min() < 0 or arr.max() >= q:
         raise ValidationError(f"codeword symbols must lie in 0..{q - 1}")
-    keys = _row_keys(arr, q)
-    ordered = keys[:, np.lexsort(keys[::-1])]
-    if (ordered[:, 1:] == ordered[:, :-1]).all(0).any():
+    if len(_unique_rows(arr)) != len(arr):
         raise ValidationError("code must consist of distinct codewords")
-    return arr, keys
+    return arr
 
 
 def _spread(ref, rows: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -349,22 +332,23 @@ def _spread(ref, rows: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _first_bad_tuple(
-    arr: np.ndarray, keys: np.ndarray, p: float, ell: int, L: int, q: int, max_subsets: int
+    arr: np.ndarray, p: float, ell: int, L: int, q: int, max_subsets: int
 ) -> Optional[BadnessCertificate]:
     """First bad L-tuple of rows in lexicographic index order, or None.
 
     Depth first over ascending prefixes; a prefix with at least ell-1 rows
     and two or more to add gets a pair table (module docstring), whose
     chunks hold about _TABLE_BYTES of candidate words, coordinates first,
-    or of the rows' one base-2 ``keys`` for binary codes at ell = 1.
-    The DP decides the L-tuples that pass; when L <= ell+1 the test is
-    exact, and the DP only writes the first one's certificate.
+    or of the words packed one per uint64 for binary codes of n <= 64 at
+    ell = 1.  The DP decides the L-tuples that pass; when L <= ell+1 the
+    test is exact, and the DP only writes the first one's certificate.
     """
     n = arr.shape[1]
     limit = (ell + 1) * math.floor(p * n)
-    # One base-2 key is the packed word; a popcount of XOR ignores the bit order.
-    packed = ell == 1 and q == 2 and len(keys) == 1
-    words = keys[0] if packed else np.ascontiguousarray(arr.T)
+    # A popcount of XOR ignores the bit order, so bit i holds symbol i.
+    packed = ell == 1 and q == 2 and n <= 64
+    words = (arr.astype(np.uint64) @ (np.uint64(1) << np.arange(n, dtype=np.uint64))
+             if packed else np.ascontiguousarray(arr.T))
 
     def pair_table(prefix: list[int], cand: list[int], least: int):
         # (k, the candidates after cand[k] that pass every test with prefix + [cand[k]]),
@@ -446,8 +430,8 @@ def contains_bad_matrix(
 ) -> tuple[bool, Optional[BadnessCertificate]]:
     """Whether some L distinct codewords of the code form a bad tuple.
 
-    The code is an (M, n) array or a sequence of words, keyed once in base
-    q.  Tuples are tried in lexicographic order of row indices and the
+    The code is an (M, n) array or a sequence of distinct words.  Tuples
+    are tried in lexicographic order of row indices and the
     first bad one is returned, pruned by the (ell+1)-subset count test,
     which runs in one lazily filled pair table per search prefix.  A tuple
     counts as tested when the count test checks its last row against a
@@ -456,7 +440,7 @@ def contains_bad_matrix(
     are tested.
     """
     _check_search(p, ell, L, q)
-    cert = _first_bad_tuple(*_code_array(code, q), p, ell, L, q, max_subsets)
+    cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q, max_subsets)
     return cert is not None, cert
 
 
@@ -478,8 +462,8 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
 
 
 def _run_trial(args) -> bool:
-    n, rate, q, p, ell, L, seed, size_cap, subset_cap = args
-    code = sample_random_code(RandomCodeSpec(n, rate, q, seed), size_cap)
+    n, rate, q, p, ell, L, seed, subset_cap = args
+    code = sample_random_code(RandomCodeSpec(n, rate, q, seed))
     found, _ = contains_bad_matrix(code, p, ell, L, q, subset_cap)
     return found
 
@@ -507,15 +491,14 @@ def empirical_threshold_sweep(
     q: int,
     base_seed: int,
     workers: Optional[int] = None,
-    max_expected_size: int = DEFAULT_SIZE_CAP,
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ) -> SweepReport:
     """Fraction of seeded random codes containing a bad matrix, per (n, rate).
 
     Invalid parameters, repeated n, rates outside [0, 1] or not strictly
-    increasing, and codes over the size cap are refused before any seeding
-    or sampling; ``max_subsets`` caps the tuples tested per code at run
-    time.  Each trial uses the deterministic seed
+    increasing, codes over SIZE_CAP and more than TRIAL_BUDGET trials in
+    all are refused before any seeding or sampling; ``max_subsets`` caps
+    the tuples tested per code at run time.  Each trial uses the seed
     trial_seed(base_seed, n, rate, trial), so results do not depend on
     execution order or worker count.
     """
@@ -528,17 +511,14 @@ def empirical_threshold_sweep(
     for n, rate in points:
         RandomCodeSpec(n, rate, q, 0)  # checks n, rate and q
     for n, rate in points:
-        if float(q) ** (n * rate) > max_expected_size:
-            raise BudgetError(
-                f"(n={n}, rate={rate}): expected code size {float(q) ** (n * rate):.3g} "
-                f"exceeds the cap {max_expected_size}"
-            )
+        _expected_size(n, rate, q)
+    if trials * len(points) > TRIAL_BUDGET:
+        raise BudgetError(f"{trials} trials x {len(points)} points exceed the cap {TRIAL_BUDGET}")
 
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
-    caps = (max_expected_size, max_subsets)
     tasks = [
-        (n, rate, q, p, ell, L, trial_seed(base_seed, n, rate, t), *caps)
+        (n, rate, q, p, ell, L, trial_seed(base_seed, n, rate, t), max_subsets)
         for n, rate in points for t in range(trials)
     ]
     # One pool for the whole sweep; outcomes come back in task order.

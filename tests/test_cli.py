@@ -235,20 +235,23 @@ def test_repeated_runs_print_the_same_envelope(capsys):
 @pytest.mark.parametrize(
     "bounds, code",
     [
-        (["--p-min", "0.1", "--p-max", "0.3", "--p-step", "nan"], 2),
-        (["--p-min", "0.1", "--p-max", "inf", "--p-step", "0.1"], 2),
-        (["--p-min", "nan", "--p-max", "0.3", "--p-step", "0.1"], 2),
-        (["--p-min", "0.1", "--p-max", "0.3", "--p-step", "1e-300"], 1),
+        (["toy", "--p-min", "0.1", "--p-max", "0.3", "--p-step", "nan"], 2),
+        (["toy", "--p-min", "0.1", "--p-max", "inf", "--p-step", "0.1"], 2),
+        (["toy", "--p-min", "nan", "--p-max", "0.3", "--p-step", "0.1"], 2),
+        (["toy", "--p-min", "0.1", "--p-max", "0.3", "--p-step", "1e-300"], 1),
+        (["simulate", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2", "--n", "10",
+          "--rates", "0.2", "--trials", "1000000000", "--seed", "1"], 1),
     ],
 )
 def test_unbounded_grids_exit_promptly(bounds, code):
-    # These grids never ended before they were refused; a child process with
-    # a timeout keeps a regression from hanging the suite.
+    # Each argv (grid bounds, or a sweep's trial count) would run for hours
+    # if not refused; a child process with a timeout keeps a regression from
+    # hanging the suite.
     src = os.path.dirname(os.path.dirname(codethresh.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "codethresh.cli", "toy", *bounds],
+        [sys.executable, "-m", "codethresh.cli", *bounds],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == code and proc.stdout == ""

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
 
+import codethresh.oracle
 from codethresh.errors import BudgetError, ValidationError
 from codethresh.levels import LevelSetParams, level_profile
 from codethresh.oracle import (
@@ -108,3 +112,20 @@ def test_level_counts_match_profiles():
 def test_level_counts_budget():
     with pytest.raises(BudgetError):
         brute_force_level_counts(LevelSetParams(10, 1, 8))
+
+
+def test_oracle_imports_no_fast_path():
+    # The oracles check the fast paths, so they may share only errors,
+    # level-set parameters and exact multinomials with them.
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(inspect.getsource(codethresh.oracle))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.setdefault(node.module or ".", set()).update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert not any(m.split(".")[0] == "codethresh" for m in modules), modules
+    assert imported == {
+        "errors": {"BudgetError", "ValidationError"},
+        "levels": {"LevelProfile", "LevelSetParams"},
+        "qmath": {"multinomial_exact"},
+    }
