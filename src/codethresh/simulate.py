@@ -18,17 +18,17 @@ C(min(q, L), ell) transitions are built, once per distinct symbol column.
 
 Codes are lexicographically sorted (M, n) symbol arrays, and a row's bytes
 are its identity: the sampler and the search's input check both
-deduplicate words by one np.unique over a byte view of the rows.  For
-binary codes of n <= 64 at ell = 1 the search packs each word into one
-uint64 of its own.  Badness is hereditary: the K-sets of a bad tuple leave
-each of its sub-tuples bad.  So one depth-first search over ascending row
-prefixes, for every ell, extends a prefix only by rows with which each
-(ell+1)-subset passes a count test: at most (ell+1)*floor(p*n) coordinates
-carry ell+1 distinct symbols, as each such coordinate leaves one of them
-uncovered.  For ell = 1 this is the Hamming test d <= 2*floor(p*n).  With
-L = ell+1 the test is exact, since those misses may go to any column and
-so spread evenly; for larger L the DP decides the L-tuples that pass.  The
-search returns at the first bad tuple.
+deduplicate words by a stable sort of a byte view of the rows, linear on
+sorted codes.  For binary codes of n <= 64 at ell = 1 the search packs
+each word into one uint64 by np.packbits.  Badness is hereditary: the
+K-sets of a bad tuple leave each of its sub-tuples bad.  So one depth-first
+search over ascending row prefixes, for every ell, extends a prefix only by
+rows with which each (ell+1)-subset passes a count test: at most
+(ell+1)*floor(p*n) coordinates carry ell+1 distinct symbols, as each such
+coordinate leaves one of them uncovered.  For ell = 1 this is the Hamming
+test d <= 2*floor(p*n).  With L = ell+1 the test is exact, since those
+misses may go to any column and so spread evenly; for larger L the DP
+decides the L-tuples that pass.  The search returns at the first bad tuple.
 
 The tests run in one pair table per prefix P, not one array call per
 (prefix, row): for candidates w < x it says whether {S, w, x} passes for
@@ -37,7 +37,9 @@ P + [w] from row w.  Tables fill lazily, a chunk of rows at a time, each
 chunk one broadcast block over the later candidates (a popcount of
 packed words for binary codes at ell = 1), so an early stop wastes little.
 Each chunk counts the candidates its rows keep, and the walk skips with no
-call the rows left with too few for a full tuple.
+call the rows left with too few for a full tuple.  A sweep sends its one
+worker pool blocks of trials, largest expected code first, and each worker
+seeds the trials it runs.
 """
 
 from __future__ import annotations
@@ -158,7 +160,12 @@ def trial_seed(base_seed: int, n: int, rate: float, trial: int) -> int:
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """Distinct rows, sorted by their bytes (lexicographic for unsigned big-endian symbols)."""
     rows = np.ascontiguousarray(rows)
-    flat = np.unique(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel())
+    # Timsort: linear on the sampler's already sorted codes.
+    flat = np.sort(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel(),
+                   kind="stable")
+    keep = np.ones(len(flat), bool)
+    keep[1:] = flat[1:] != flat[:-1]
+    flat = flat[keep]
     return flat.view(rows.dtype).reshape(len(flat), rows.shape[1])
 
 
@@ -347,8 +354,10 @@ def _first_bad_tuple(
     limit = (ell + 1) * math.floor(p * n)
     # A popcount of XOR ignores the bit order, so bit i holds symbol i.
     packed = ell == 1 and q == 2 and n <= 64
-    words = (arr.astype(np.uint64) @ (np.uint64(1) << np.arange(n, dtype=np.uint64))
-             if packed else np.ascontiguousarray(arr.T))
+    words = np.zeros((len(arr), 64), np.uint8) if packed else np.ascontiguousarray(arr.T)
+    if packed:  # rows zero-padded to 64 symbols, 8 to a byte
+        words[:, :n] = arr
+        words = np.packbits(words, axis=1, bitorder="little").view("<u8").ravel()
 
     def pair_table(prefix: list[int], cand: list[int], least: int):
         # (k, the candidates after cand[k] that pass every test with prefix + [cand[k]]),
@@ -461,10 +470,12 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-def _run_trial(args) -> bool:
-    n, rate, q, p, ell, L, seed, subset_cap = args
-    code = sample_random_code(RandomCodeSpec(n, rate, q, seed))
-    found, _ = contains_bad_matrix(code, p, ell, L, q, subset_cap)
+def _run_block(args) -> int:
+    n, rate, q, p, ell, L, base_seed, first, stop, subset_cap = args
+    found = 0
+    for t in range(first, stop):
+        code = sample_random_code(RandomCodeSpec(n, rate, q, trial_seed(base_seed, n, rate, t)))
+        found += contains_bad_matrix(code, p, ell, L, q, subset_cap)[0]
     return found
 
 
@@ -498,9 +509,9 @@ def empirical_threshold_sweep(
     Invalid parameters, repeated n, rates outside [0, 1] or not strictly
     increasing, codes over SIZE_CAP and more than TRIAL_BUDGET trials in
     all are refused before any seeding or sampling; ``max_subsets`` caps
-    the tuples tested per code at run time.  Each trial uses the seed
-    trial_seed(base_seed, n, rate, trial), so results do not depend on
-    execution order or worker count.
+    the tuples tested per code at run time.  The pool runs about 16 blocks of
+    trials per worker, largest n*rate first, and seeds each trial where it
+    runs by trial_seed(base_seed, n, rate, trial): no worker count changes it.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -517,20 +528,22 @@ def empirical_threshold_sweep(
 
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
-    tasks = [
-        (n, rate, q, p, ell, L, trial_seed(base_seed, n, rate, t), max_subsets)
-        for n, rate in points for t in range(trials)
-    ]
-    # One pool for the whole sweep; outcomes come back in task order.
+    # One pool, largest expected code q^{n*rate} first (Graham's LPT rule).
+    size = -(-trials * len(points) // (16 * nworkers))
+    tasks = sorted(((n, rate, q, p, ell, L, base_seed, t, min(t + size, trials), max_subsets)
+                    for n, rate in points for t in range(0, trials, size)),
+                   key=lambda task: -task[0] * task[1])
     if nworkers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            found = list(pool.map(_run_trial, tasks, chunksize=8))
+            found = list(pool.map(_run_block, tasks))
     else:
-        found = list(map(_run_trial, tasks))
-    counts = [sum(found[i : i + trials]) for i in range(0, len(found), trials)]
-    rows = [SweepRow(n, rate, trials, c, c / trials) for (n, rate), c in zip(points, counts)]
+        found = list(map(_run_block, tasks))
+    counts = dict.fromkeys(points, 0)
+    for task, c in zip(tasks, found):
+        counts[task[:2]] += c
+    rows = [SweepRow(n, rate, trials, c, c / trials) for (n, rate), c in counts.items()]
     width = len(rate_grid)
     crossings = {
         n: _interpolate_crossing(rate_grid, [r.fraction for r in rows[j * width :][:width]])

@@ -119,6 +119,18 @@ def test_unique_rows_matches_a_set_of_tuples(q, n):
         assert list(map(tuple, out.tolist())) == sorted(set(map(tuple, rows.tolist())))
 
 
+@pytest.mark.parametrize("dtype, q", [(np.uint8, 256), (">u8", 70_000)])
+def test_unique_rows_on_sorted_and_repeated_input(dtype, q):
+    # The sampler's codes arrive sorted; the stable sort must still drop every repeat.
+    rows = np.unique(np.random.default_rng(q).integers(0, q, size=(40, 6)), axis=0)
+    for case in (rows, rows[::-1], np.repeat(rows, 3, axis=0), np.repeat(rows[:1], 7, axis=0),
+                 rows[:1], rows[:0]):
+        case = case.astype(dtype)
+        out = _unique_rows(case)
+        assert out.dtype == case.dtype and out.shape[1] == 6
+        assert list(map(tuple, out.tolist())) == sorted(set(map(tuple, case.tolist())))
+
+
 def test_sample_mean_size_matches_binomial():
     # inclusion probability q^{-n(1-R)}: mean size q^{nR}
     spec_mean = 2 ** (10 * 0.5)
@@ -480,6 +492,68 @@ def test_sweep_starts_one_worker_pool(monkeypatch):
     )
     assert started == [2]
     assert len(rep.rows) == 4
+
+
+@pytest.mark.parametrize("trials", [4, 400])
+def test_sweep_sends_few_blocks_and_seeds_them_in_the_workers(monkeypatch, trials):
+    from codethresh import simulate
+
+    submitted, seeded = [], []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(1)
+            return super().submit(*args, **kwargs)
+
+    real = simulate.trial_seed
+    # Forked workers append to their own copies of ``seeded``: only the parent's calls count.
+    monkeypatch.setattr(simulate, "trial_seed", lambda *a: seeded.append(a) or real(*a))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    rep = empirical_threshold_sweep(
+        n_list=[8, 10], rate_grid=[0.2, 0.5], trials=trials,
+        p=0.1, ell=1, L=3, q=2, base_seed=5, workers=2,
+    )
+    assert 0 < len(submitted) <= 16 * 2 + len(rep.rows)
+    assert seeded == []
+    assert [r.trials for r in rep.rows] == [trials] * 4
+
+
+def _crossing_by_hand(rates, fractions):
+    for i, f in enumerate(fractions):
+        if f > 0.5:
+            if i == 0:
+                return rates[0]
+            f0 = fractions[i - 1]
+            return rates[i - 1] + (0.5 - f0) * (rates[i] - rates[i - 1]) / (f - f0)
+    return None
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_matches_a_per_trial_loop(workers):
+    # 11 trials per point fall into blocks of 5, 3 and 2 trials for 1, 2 and 3 workers.
+    # Rates near both crossings, so most counts lie strictly between 0 and 11.
+    n_list, rates, trials, seed = [12, 16], [0.4, 0.45, 0.5], 11, 1
+    search = dict(p=0.1, ell=1, L=3, q=2)
+    expected, crossings = [], {}
+    for n in n_list:
+        fractions = []
+        for rate in rates:
+            found = sum(
+                contains_bad_matrix(
+                    sample_random_code(RandomCodeSpec(n, rate, 2, trial_seed(seed, n, rate, t))),
+                    **search,
+                )[0]
+                for t in range(trials)
+            )
+            expected.append((n, rate, trials, found, found / trials))
+            fractions.append(found / trials)
+        crossings[n] = _crossing_by_hand(rates, fractions)
+    rep = empirical_threshold_sweep(n_list, rates, trials, base_seed=seed, workers=workers,
+                                    **search)
+    assert [tuple(r) for r in rep.rows] == expected
+    assert rep.crossings == crossings
+    assert any(c is not None for c in crossings.values())
+    assert len({r.satisfied for r in rep.rows}) > 2
 
 
 @pytest.mark.parametrize("rate", [math.nan, -0.1, 1.5])
