@@ -37,7 +37,6 @@ from .solver import (
     ThresholdQuery,
     ThresholdResult,
     ToyRates,
-    beta,
     kl_estimate,
     list_of_two_rc_threshold,
     perfect_hashing_threshold,
@@ -65,7 +64,6 @@ __all__ = [
     "ThresholdResult",
     "ToyRates",
     "ValidationError",
-    "beta",
     "contains_bad_matrix",
     "empirical_threshold_sweep",
     "entropy_q",

@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import BudgetError, ValidationError
+from .qmath import check_alphabet
 
 __all__ = ["LevelSetParams", "LevelProfile", "p_ell", "level_profile"]
 
@@ -43,14 +44,9 @@ class LevelSetParams:
     L: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValidationError(f"q must be >= 2, got {self.q}")
-        if not 1 <= self.ell <= self.q:
-            raise ValidationError(
-                f"ell must satisfy 1 <= ell <= q, got ell={self.ell}, q={self.q}"
-            )
-        if self.L < 1:
-            raise ValidationError(f"L must be >= 1, got {self.L}")
+        check_alphabet(self.q, self.ell)
+        if not isinstance(self.L, int) or self.L < 1:
+            raise ValidationError(f"L must be an integer >= 1, got {self.L!r}")
 
 
 @dataclass(frozen=True)
@@ -75,12 +71,11 @@ def p_ell(v: Sequence[int], ell: int, q: int) -> int:
     The minimizing set is always the ell most frequent symbols, so this
     sorts the histogram of v descending and subtracts the top-ell mass.
     """
-    if q < 2 or not 1 <= ell <= q:
-        raise ValidationError(f"need 1 <= ell <= q with q >= 2, got ell={ell}, q={q}")
+    check_alphabet(q, ell)
     freq: dict[int, int] = {}
     for s in v:
         if not isinstance(s, int) or not 0 <= s < q:
-            raise ValidationError(f"symbol {s!r} outside alphabet range 0..{q - 1}")
+            raise ValidationError(f"symbols must be ints in 0..{q - 1}, got {s!r}")
         freq[s] = freq.get(s, 0) + 1
     covered = sum(sorted(freq.values(), reverse=True)[:ell])
     return len(v) - covered

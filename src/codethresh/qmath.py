@@ -28,18 +28,21 @@ __all__ = [
 NORMALIZATION_TOL = 1e-9
 
 
-def _check_q(q: int) -> None:
+def check_alphabet(q: int, ell: int = 1) -> None:
+    """Refuse q and ell unless they are Python ints with q >= 2 and 1 <= ell <= q."""
     if not isinstance(q, int) or q < 2:
         raise ValidationError(f"alphabet size q must be an integer >= 2, got {q!r}")
+    if not isinstance(ell, int) or not 1 <= ell <= q:
+        raise ValidationError(f"ell must be an integer in 1..q, got ell={ell!r}, q={q}")
 
 
 def entropy_q(dist: Sequence[float], q: int) -> float:
     """Base-q entropy -sum tau(x) log_q tau(x) of a probability vector, >= 0."""
-    _check_q(q)
-    if any(x < 0 for x in dist):
-        raise ValidationError("probabilities must be nonnegative")
+    check_alphabet(q)
+    if not all(x >= 0 for x in dist):
+        raise ValidationError("probabilities must be nonnegative numbers, not NaN")
     total = math.fsum(dist)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise ValidationError(
             f"probabilities sum to {total!r}, deviating from 1 by {total - 1.0!r}"
         )
@@ -50,7 +53,7 @@ def entropy_q(dist: Sequence[float], q: int) -> float:
 
 def q_ary_entropy(x: float, q: int) -> float:
     """h_q(x) = x log_q(q-1) - x log_q x - (1-x) log_q(1-x) on [0, 1]."""
-    _check_q(q)
+    check_alphabet(q)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"q_ary_entropy requires x in [0,1], got {x}")
     lq = math.log(q)
@@ -68,7 +71,7 @@ def kl_q(s: float, r: float, q: int) -> float:
     Extended continuously at s = 0 (giving log_q(1/(1-r))) and s = 1
     (giving log_q(1/r)); r must lie strictly inside (0, 1).
     """
-    _check_q(q)
+    check_alphabet(q)
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"kl_q requires s in [0,1], got {s}")
     if not 0.0 < r < 1.0:

@@ -9,9 +9,10 @@ relevant tau in the list-of-two problem is the limit distribution
 
     tau(000) = tau(111) = (1 - 3p)/2,      tau(u) = p/2 otherwise.
 
-Pushforward entropy depends on A only through its kernel, so the scan
-enumerates the 15 subspace kernels of F_2^3 once each.  The minimum is
-attained by the rank-2 map with kernel {000, 111}, giving the closed form
+A full-rank map sends each coset u + K of its kernel K to one point, so
+the pushforward is tau summed over the cosets of K, in dimension 3 - dim K;
+the scan walks the 15 subspaces K of F_2^3 directly, building no map.  The
+minimum is attained at K = {000, 111} (a rank-2 map), giving the closed form
 
     R*_RLC = 1 - (h_2(3p) + 3p log_2 3) / 2,
 
@@ -23,8 +24,9 @@ significant bit, so 6 = 110 means (1, 1, 0).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -69,10 +71,10 @@ class BinaryDistribution3:
             raise ValidationError(
                 f"need 8 probabilities over F_2^3, got {len(self.probs)}"
             )
-        if any(x < 0.0 for x in self.probs):
-            raise ValidationError("probabilities must be nonnegative")
+        if not all(x >= 0.0 for x in self.probs):
+            raise ValidationError("probabilities must be nonnegative numbers, not NaN")
         total = math.fsum(self.probs)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
 
     @classmethod
@@ -120,7 +122,6 @@ class ImpliedTypeEntry:
     """One kernel class of full-rank maps: its pushforward entropy and ratio."""
 
     map_label: str
-    matrix: tuple[tuple[int, ...], ...]
     entropy: float
     dimension: int
     ratio: float
@@ -131,52 +132,28 @@ class ImpliedTypeScan(NamedTuple):
     min_ratio: float
 
 
-def _kernel_of(rows: Sequence[int]) -> frozenset[int]:
-    return frozenset(
-        u for u in range(8) if all(_dot_gf2(r, u) == 0 for r in rows)
-    )
-
-
-def _kernel_representatives() -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """One full-rank map per kernel subspace of F_2^3 (15 classes)."""
-    reps: dict[frozenset[int], tuple[int, ...]] = {}
-    for m in (3, 2, 1):
-        for rows in itertools.product(range(1, 8), repeat=m):
-            if _rank_gf2(rows) != m:
-                continue
-            ker = _kernel_of(rows)
-            reps.setdefault(ker, rows)
-    return sorted(reps.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
-
-_REPRESENTATIVES = _kernel_representatives()
-
-
-def _unpack_row(row: int) -> tuple[int, int, int]:
-    return (row >> 2 & 1, row >> 1 & 1, row & 1)
-
-
 def implied_type_scan(p: float) -> ImpliedTypeScan:
     """Entropy/dimension ratios of every implied type of the limit tau.
 
-    One entry per kernel subspace (the pushforward depends on the map only
-    through its kernel); the returned minimum determines the random linear
-    code threshold as 1 - min_ratio.
+    One entry per kernel K = {0, a, b, a^b}, smallest first: tau summed
+    over the cosets u ^ K, each coset's members added in ascending u as
+    ``implied_distribution`` adds them, so the masses match it bit for bit.
+    For p in (0, 1/4) tau weighs all 8 vectors, so the support spans the
+    whole image, of dimension 3 - log2 |K|.  The returned minimum
+    determines the random linear code threshold as 1 - min_ratio.
     """
     if not 0.0 < p < 0.25:
         raise DomainError(f"p must lie in (0, 1/4), got {p}")
-    tau = BinaryDistribution3.limit_for_noise(p)
+    tau = BinaryDistribution3.limit_for_noise(p).probs
+    kernels = {frozenset((0, a, b, a ^ b)) for a in range(8) for b in range(a, 8)}
     entries = []
-    for ker, rows in _REPRESENTATIVES:
-        matrix = tuple(_unpack_row(r) for r in rows)
-        push = implied_distribution(tau, matrix)
+    for ker in sorted(kernels, key=lambda k: (len(k), sorted(k))):
+        cosets = sorted({tuple(sorted(u ^ k for k in ker)) for u in range(8)})
+        push = [functools.reduce(operator.add, (tau[u] for u in c)) for c in cosets]
         entropy = entropy_q(push, 2)
-        support = [v for v, mass in enumerate(push) if mass > 0.0]
-        dimension = _rank_gf2(support)
+        dimension = 3 - (len(ker).bit_length() - 1)
         label = "ker{" + ",".join(format(u, "03b") for u in sorted(ker)) + "}"
-        entries.append(
-            ImpliedTypeEntry(label, matrix, entropy, dimension, entropy / dimension)
-        )
+        entries.append(ImpliedTypeEntry(label, entropy, dimension, entropy / dimension))
     return ImpliedTypeScan(tuple(entries), min(e.ratio for e in entries))
 
 

@@ -55,6 +55,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, ValidationError
+from .qmath import check_alphabet
 
 __all__ = [
     "RandomCodeSpec",
@@ -91,14 +92,17 @@ class RandomCodeSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValidationError(f"rate must lie in [0, 1], got {self.rate}")
-        if self.q < 2:
-            raise ValidationError(f"q must be >= 2, got {self.q}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be a 64-bit integer, got {self.seed}")
+        check_alphabet(self.q)
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -423,10 +427,9 @@ def _first_bad_tuple(
 
 
 def _check_search(p: float, ell: int, L: int, q: int) -> None:
-    if L < 1 or not 1 <= ell <= q or not 0.0 <= p <= 1.0:
-        raise ValidationError(
-            f"need L >= 1, 1 <= ell <= q and 0 <= p <= 1; got L={L}, ell={ell}, q={q}, p={p}"
-        )
+    check_alphabet(q, ell)
+    if not isinstance(L, int) or L < 1 or not 0.0 <= p <= 1.0:
+        raise ValidationError(f"need an integer L >= 1 and 0 <= p <= 1; got L={L!r}, p={p}")
 
 
 def contains_bad_matrix(
@@ -506,9 +509,9 @@ def empirical_threshold_sweep(
 ) -> SweepReport:
     """Fraction of seeded random codes containing a bad matrix, per (n, rate).
 
-    Invalid parameters, repeated n, rates outside [0, 1] or not strictly
-    increasing, codes over SIZE_CAP and more than TRIAL_BUDGET trials in
-    all are refused before any seeding or sampling; ``max_subsets`` caps
+    Invalid parameters, a base_seed outside [0, 2**64), repeated n, rates outside
+    [0, 1] or not strictly increasing, codes over SIZE_CAP and more than TRIAL_BUDGET
+    trials in all are refused before any seeding or sampling; ``max_subsets`` caps
     the tuples tested per code at run time.  The pool runs about 16 blocks of
     trials per worker, largest n*rate first, and seeds each trial where it
     runs by trial_seed(base_seed, n, rate, trial): no worker count changes it.
@@ -516,6 +519,7 @@ def empirical_threshold_sweep(
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     _check_search(p, ell, L, q)
+    _check_seed(base_seed)
     if len(set(n_list)) != len(n_list) or any(a >= b for a, b in zip(rate_grid, rate_grid[1:])):
         raise ValidationError(f"need distinct n, strictly increasing rates: {n_list}, {rate_grid}")
     points = [(n, float(rate)) for n in n_list for rate in rate_grid]

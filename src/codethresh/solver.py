@@ -37,12 +37,11 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .levels import LevelProfile, LevelSetParams, level_profile
-from .qmath import kl_q, q_ary_entropy
+from .qmath import check_alphabet, kl_q, q_ary_entropy
 
 __all__ = [
     "ThresholdQuery",
     "ThresholdResult",
-    "beta",
     "threshold_rate",
     "threshold_rates",
     "zero_error_threshold",
@@ -65,23 +64,15 @@ class ThresholdQuery:
     epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValidationError(f"q must be >= 2, got {self.q}")
-        if not 1 <= self.ell <= self.q:
-            raise ValidationError(
-                f"ell must satisfy 1 <= ell <= q, got ell={self.ell}, q={self.q}"
-            )
-        if self.L < 2:
-            raise ValidationError(f"L must be >= 2, got {self.L}")
+        check_alphabet(self.q, self.ell)
+        if not isinstance(self.L, int) or self.L < 2:
+            raise ValidationError(f"L must be an integer >= 2, got {self.L!r}")
         if not 0.0 <= self.p < 1.0:
             raise DomainError(f"p must lie in [0, 1), got {self.p}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValidationError(
                 f"epsilon must be positive and finite, got {self.epsilon}"
             )
-
-    def level_params(self) -> LevelSetParams:
-        return LevelSetParams(self.q, self.ell, self.L)
 
 
 @dataclass(frozen=True)
@@ -224,27 +215,6 @@ def _threshold_results(
     return out
 
 
-def beta(
-    query: ThresholdQuery, profile: Optional[LevelProfile] = None
-) -> tuple[float, Optional[float]]:
-    """The maximal bad-type entropy beta(p, ell, L), with the dual minimizer.
-
-    Returns (L, None) in the zero-rate regime pL >= t* (decided in exact
-    arithmetic, ties included), (log_q |D_0|, None) at p = 0, (L, 0.0)
-    when pL is below t* by less than g'(0) resolves in floats, and
-    otherwise the least dual value found, within epsilon * L of beta.
-    """
-    params = query.level_params()
-    if profile is None:
-        profile = level_profile(params)
-    if profile.params != params:
-        raise ValidationError(
-            f"profile is for {profile.params}, query needs {params}"
-        )
-    res = _threshold_results(profile, [query.p], query.epsilon)[0]
-    return res.beta, res.alpha_star
-
-
 def threshold_rates(queries: Sequence[ThresholdQuery]) -> list[ThresholdResult]:
     """R* for queries that differ only in p, with one dual solve for all of them.
 
@@ -259,15 +229,16 @@ def threshold_rates(queries: Sequence[ThresholdQuery]) -> list[ThresholdResult]:
         for x in queries
     ):
         raise ValidationError("queries must share ell, L, q and epsilon")
-    profile = level_profile(first.level_params())
+    profile = level_profile(LevelSetParams(first.q, first.ell, first.L))
     return _threshold_results(profile, [x.p for x in queries], first.epsilon)
 
 
 def threshold_rate(query: ThresholdQuery) -> ThresholdResult:
     """R* = 1 - beta/L for the query, tagged with the computation path.
 
-    The zero-rate test, the p = 0 closed form, or the dual solve (tagged
-    "bisection"); the named closed forms below are separate functions.
+    The exact zero-rate test pL >= t* (beta = L), the p = 0 closed form
+    (beta = log_q |D_0|), or the dual solve, tagged "bisection": beta within
+    epsilon * L, alpha_star its minimizer.  Closed forms are separate below.
     """
     return threshold_rates([query])[0]
 
@@ -284,8 +255,7 @@ def perfect_hashing_threshold(q: int) -> float:
     A code with this property maps any q codewords to distinct symbols at
     some coordinate; the count behind the formula is |D_0| = q^q - q!.
     """
-    if q < 2:
-        raise ValidationError(f"q must be >= 2, got {q}")
+    check_alphabet(q)
     ratio = math.factorial(q) / q**q
     return -math.log1p(-ratio) / (q * math.log(q))
 

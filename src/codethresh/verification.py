@@ -20,7 +20,7 @@ from .oracle import (
     brute_force_level_counts,
 )
 from .simulate import is_bad_tuple
-from .solver import ThresholdQuery, beta
+from .solver import ThresholdQuery, threshold_rate
 
 __all__ = ["verification_report"]
 
@@ -44,7 +44,7 @@ def _check_oracle(name: str, oracle: Callable, grid: list, **kwargs) -> dict[str
     worst = 0.0
     for p, ell, L, q in grid:
         profile = level_profile(LevelSetParams(q, ell, L))
-        exact = beta(ThresholdQuery(p, ell, L, q, epsilon=1e-9), profile)[0]
+        exact = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9)).beta
         worst = max(worst, abs(exact - oracle(p, profile, **kwargs)))
     status = "PASS" if worst <= 1e-4 else "FAIL"
     return {"check": name, "status": status, "observed": worst, "bound": 1e-4}

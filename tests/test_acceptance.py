@@ -25,7 +25,6 @@ from codethresh.rlc import implied_type_scan, rlc_list_of_two_threshold
 from codethresh.simulate import empirical_threshold_sweep, is_bad_tuple
 from codethresh.solver import (
     ThresholdQuery,
-    beta,
     kl_estimate,
     list_of_two_rc_threshold,
     perfect_hashing_threshold,
@@ -103,7 +102,7 @@ def test_criterion_04_oracle_equivalence(capfd):
     grid = _criterion_4_grid()
     worst_grid = worst_ascent = 0.0
     for p, ell, L, q, profile in grid:
-        exact = beta(ThresholdQuery(p, ell, L, q, epsilon=1e-9), profile)[0]
+        exact = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9)).beta
         worst_grid = max(
             worst_grid,
             abs(exact - beta_levelspace_oracle(p, profile, grid_steps=300_000)),

@@ -268,6 +268,17 @@ def test_nan_rate_exits_2(capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "rate" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "36893488147419103231"])
+def test_seed_outside_64_bits_exits_2(capsys, seed):
+    # Masked to 64 bits, each of these would print the rows of another seed.
+    code, out, err = _capture(
+        capsys, ["simulate", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2",
+                 "--n", "10", "--rates", "0.2", "--trials", "2", "--seed", seed]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
+
+
 def test_infinite_eps_exits_2(capsys):
     code, out, err = _capture(
         capsys, ["threshold", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2",

@@ -6,6 +6,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,12 @@ def test_p_ell_small_cases():
     assert p_ell((0, 1, 2), 2, 3) == 1
     assert p_ell((0, 1, 2), 3, 3) == 0
     assert p_ell((2, 2, 0, 1, 2), 1, 3) == 2
+
+
+def test_p_ell_names_the_symbol_rule():
+    # np.int64(0) lies in 0..1; what it breaks is the type, and the message says so.
+    with pytest.raises(ValidationError, match=r"must be ints in 0\.\.1, got np\.int64\(0\)"):
+        p_ell([np.int64(0)], 1, 2)
 
 
 @given(

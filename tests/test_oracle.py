@@ -17,7 +17,7 @@ from codethresh.oracle import (
     brute_force_level_counts,
 )
 from codethresh.simulate import is_bad_tuple
-from codethresh.solver import ThresholdQuery, beta
+from codethresh.solver import ThresholdQuery, threshold_rate
 
 
 def test_grid_oracle_agrees_with_bisection_on_frozen_points():
@@ -61,7 +61,7 @@ def test_grid_oracle_validation():
 def test_ascent_oracle_matches_bisection():
     for p, ell, L, q in [(0.1, 1, 3, 2), (0.16, 1, 3, 3), (0.05, 2, 3, 4)]:
         profile = level_profile(LevelSetParams(q, ell, L))
-        exact = beta(ThresholdQuery(p, ell, L, q, epsilon=1e-9), profile)[0]
+        exact = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9)).beta
         approx = beta_ascent_oracle(p, profile, starts=5)
         assert approx == pytest.approx(exact, abs=1e-9)
 
@@ -70,7 +70,7 @@ def test_ascent_oracle_handles_binding_constraint():
     # 3 nonempty levels: the optimum sits on the mean constraint and
     # needs mean-preserving moves to be reached
     profile = level_profile(LevelSetParams(3, 1, 3))
-    exact = beta(ThresholdQuery(0.16, 1, 3, 3, epsilon=1e-12), profile)[0]
+    exact = threshold_rate(ThresholdQuery(0.16, 1, 3, 3, epsilon=1e-12)).beta
     assert beta_ascent_oracle(0.16, profile, starts=5) == pytest.approx(exact, abs=1e-10)
 
 

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codethresh.errors import DomainError, ValidationError
+from codethresh.levels import LevelSetParams, p_ell
 from codethresh.qmath import entropy_q, kl_q, multinomial_exact, q_ary_entropy
+from codethresh.simulate import (
+    RandomCodeSpec,
+    contains_bad_matrix,
+    empirical_threshold_sweep,
+    is_bad_tuple,
+)
+from codethresh.solver import ThresholdQuery, perfect_hashing_threshold, threshold_rate
 
 
 def test_entropy_uniform_and_point_mass():
@@ -21,6 +32,46 @@ def test_entropy_rejects_bad_vectors():
         entropy_q([0.5, 0.6], 2)
     with pytest.raises(ValidationError):
         entropy_q([-0.1, 1.1], 2)
+    with pytest.raises(ValidationError):
+        entropy_q([math.nan, 1.0], 2)
+
+
+# Each entry point with the integer arguments it takes; the other arguments
+# are valid, and every bad value below lies in range, so only its type is wrong.
+_ENTRY_POINTS = {
+    "LevelSetParams": ("q ell L", lambda q, ell, L, n: LevelSetParams(q, ell, L)),
+    "ThresholdQuery": ("q ell L", lambda q, ell, L, n: ThresholdQuery(0.1, ell, L, q)),
+    "p_ell": ("q ell", lambda q, ell, L, n: p_ell([0, 1, 2], ell, q)),
+    "perfect_hashing_threshold": ("q", lambda q, ell, L, n: perfect_hashing_threshold(q)),
+    "RandomCodeSpec": ("q n", lambda q, ell, L, n: RandomCodeSpec(n, 0.5, q, 1)),
+    "is_bad_tuple": ("q ell", lambda q, ell, L, n: is_bad_tuple([(0, 1), (1, 2)], 0.5, ell, q)),
+    "contains_bad_matrix": (
+        "q ell L",
+        lambda q, ell, L, n: contains_bad_matrix([(0, 1), (1, 2), (2, 0)], 0.5, ell, L, q),
+    ),
+    "empirical_threshold_sweep": (
+        "q ell L n",
+        lambda q, ell, L, n: empirical_threshold_sweep([n], [0.5], 1, 0.1, ell, L, q, 0, 1),
+    ),
+    "entropy_q": ("q", lambda q, ell, L, n: entropy_q([0.5, 0.5], q)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, np.int64(2)], ids=["2.0", "2.5", "np.int64"])
+@pytest.mark.parametrize(
+    "entry, arg",
+    [(entry, arg) for entry, (args, _) in _ENTRY_POINTS.items() for arg in args.split()],
+)
+def test_non_int_alphabet_arguments_are_refused(entry, arg, bad):
+    call = _ENTRY_POINTS[entry][1]
+    call(q=3, ell=1, L=3, n=4)  # the valid call goes through
+    with pytest.raises(ValidationError):
+        call(**dict(dict(q=3, ell=1, L=3, n=4), **{arg: bad}))
+
+
+def test_numpy_tuple_size_is_refused_before_it_overflows():
+    with pytest.raises(ValidationError):
+        threshold_rate(ThresholdQuery(0.1, 1, np.int64(70), 2))
 
 
 def test_q_ary_entropy_frozen_values():

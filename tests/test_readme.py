@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import codethresh
 from codethresh.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -38,6 +39,14 @@ def test_readme_has_examples():
     assert {"threshold", "sweep", "simulate"} <= {
         word for command, _ in EXAMPLES for word in command.split()
     }
+
+
+def test_readme_calls_name_package_attributes():
+    # Inline `name(...)` spans outside the fenced blocks name the public API.
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    names = re.findall(r"`([A-Za-z_]\w*)\(", prose)
+    assert "threshold_rate" in names
+    assert [name for name in names if not hasattr(codethresh, name)] == []
 
 
 @pytest.mark.parametrize(

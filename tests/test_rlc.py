@@ -30,6 +30,11 @@ def test_distribution_validation():
     assert sum(ok.probs) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_distribution_rejects_nan():
+    with pytest.raises(ValidationError):
+        BinaryDistribution3((math.nan,) * 8)
+
+
 def test_limit_distribution_shape():
     rho = BinaryDistribution3.limit_for_noise(0.1)
     assert rho.probs[0b000] == pytest.approx(0.35, abs=1e-15)

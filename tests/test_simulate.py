@@ -39,6 +39,14 @@ def test_spec_validation():
         RandomCodeSpec(5, 0.5, 2, -1)
 
 
+@pytest.mark.parametrize(
+    "seed", [-1, 2**64, 1.0, np.uint64(1)], ids=["-1", "2**64", "1.0", "np.uint64"]
+)
+def test_sweep_refuses_seeds_outside_64_bits(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        empirical_threshold_sweep([10], [0.2], 2, 0.1, 1, 3, 2, seed, workers=1)
+
+
 def test_trial_seed_is_deterministic_and_spread():
     a = trial_seed(7, 10, 0.25, 3)
     assert a == trial_seed(7, 10, 0.25, 3)

@@ -16,7 +16,6 @@ from codethresh.oracle import composition_level_counts
 from codethresh.solver import (
     ThresholdQuery,
     _dual,
-    beta,
     kl_estimate,
     list_of_two_rc_threshold,
     perfect_hashing_threshold,
@@ -80,15 +79,16 @@ def test_query_validation():
 
 def test_beta_frozen_values():
     for (p, ell, L, q), expected in FROZEN_BETA.items():
-        value, alpha = beta(ThresholdQuery(p, ell, L, q, epsilon=1e-9))
+        res = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9))
+        value, alpha = res.beta, res.alpha_star
         assert value == pytest.approx(expected, abs=1e-9), (p, ell, L, q)
         assert alpha is not None and alpha < 0.0
 
 
 def test_beta_dual_minimizer_frozen():
-    _, alpha = beta(ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-9))
+    alpha = threshold_rate(ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-9)).alpha_star
     assert alpha == pytest.approx(-2.8073549220576041, abs=1e-6)
-    _, alpha = beta(ThresholdQuery(0.2, 1, 3, 2, epsilon=1e-9))
+    alpha = threshold_rate(ThresholdQuery(0.2, 1, 3, 2, epsilon=1e-9)).alpha_star
     assert alpha == pytest.approx(-1.0, abs=1e-6)
 
 
@@ -102,7 +102,7 @@ def test_r_star_frozen_values():
 
 def test_beta_monotone_in_p():
     values = [
-        beta(ThresholdQuery(0.02 + 0.04 * k, 1, 3, 2, epsilon=1e-9))[0]
+        threshold_rate(ThresholdQuery(0.02 + 0.04 * k, 1, 3, 2, epsilon=1e-9)).beta
         for k in range(6)
     ]
     for got, expected in zip(values, FROZEN_BETA_MONOTONE):
@@ -260,8 +260,8 @@ def test_toy_rates_frozen_and_ordering():
 
 
 def test_tighter_epsilon_never_hurts():
-    coarse = beta(ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-3))[0]
-    fine = beta(ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-12))[0]
+    coarse = threshold_rate(ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-3)).beta
+    fine = threshold_rate(ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-12)).beta
     assert abs(fine - 2.3567796494470395) <= abs(coarse - 2.3567796494470395) + 1e-15
 
 
