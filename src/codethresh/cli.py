@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from . import __version__
 from .errors import BudgetError, ValidationError
@@ -183,17 +183,6 @@ def _cmd_verify(args) -> tuple[Any, list[dict]]:
     return {"checks": checks}, checks
 
 
-_HANDLERS: dict[str, Callable] = {
-    "threshold": _cmd_threshold,
-    "sweep": _cmd_sweep,
-    "levelsets": _cmd_levelsets,
-    "simulate": _cmd_simulate,
-    "rlc": _cmd_rlc,
-    "toy": _cmd_toy,
-    "verify": _cmd_verify,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after it."""
@@ -221,21 +210,23 @@ def _parser() -> argparse.ArgumentParser:
         grid.add_argument(name, type=float, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("threshold", parents=[common, point, code],
-                       help="R* for one (p, ell, L, q)")
+    def add(name, handler, parents, summary):
+        cmd = sub.add_parser(name, parents=[common, *parents], help=summary)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    t = add("threshold", _cmd_threshold, [point, code], "R* for one (p, ell, L, q)")
     t.add_argument("--eps", type=float, default=1e-6)
-    sub.add_parser("sweep", parents=[common, code, grid],
-                   help="exact R* vs KL estimate over p")
-    sub.add_parser("levelsets", parents=[common, code], help="level-set profile dump")
-    sim = sub.add_parser("simulate", parents=[common, point, code],
-                         help="Monte Carlo threshold sweep")
+    add("sweep", _cmd_sweep, [code, grid], "exact R* vs KL estimate over p")
+    add("levelsets", _cmd_levelsets, [code], "level-set profile dump")
+    sim = add("simulate", _cmd_simulate, [point, code], "Monte Carlo threshold sweep")
     sim.add_argument("--n", type=int, nargs="+", required=True)
     sim.add_argument("--rates", type=float, nargs="+", required=True)
     sim.add_argument("--trials", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
-    sub.add_parser("rlc", parents=[common, grid], help="implied-type scan over p")
-    sub.add_parser("toy", parents=[common, grid], help="toy-property rate pair over p")
-    v = sub.add_parser("verify", parents=[common], help="oracle-equivalence suite")
+    add("rlc", _cmd_rlc, [grid], "implied-type scan over p")
+    add("toy", _cmd_toy, [grid], "toy-property rate pair over p")
+    v = add("verify", _cmd_verify, [], "oracle-equivalence suite")
     v.add_argument("--quick", action="store_true", help="smaller grids and corpora")
     return parser
 
@@ -249,7 +240,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     t0 = time.perf_counter()
     try:
-        results, rows = _HANDLERS[args.command](args)
+        results, rows = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -266,7 +257,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         writer.writerows(_sig12(rows))
     else:
         parameters = {
-            k: v for k, v in vars(args).items() if k not in ("command", "format")
+            k: v for k, v in vars(args).items() if k not in ("command", "format", "handler")
         }
         envelope = {
             "command": args.command,

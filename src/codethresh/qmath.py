@@ -87,8 +87,8 @@ def kl_q(s: float, r: float, q: int) -> float:
 
 def multinomial_exact(L: int, parts: Sequence[int]) -> int:
     """L! / prod(parts_i!) as an exact integer."""
-    if any(x < 0 for x in parts):
-        raise ValidationError("multinomial parts must be nonnegative")
+    if not all(isinstance(x, int) and x >= 0 for x in (L, *parts)):
+        raise ValidationError(f"multinomial needs nonnegative integers, got {L!r}, {parts!r}")
     if sum(parts) != L:
         raise ValidationError(
             f"multinomial parts sum to {sum(parts)}, expected {L}"

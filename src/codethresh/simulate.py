@@ -14,18 +14,22 @@ violation counts; counts above the budget are clipped and such states
 dropped as unrecoverable.  Per coordinate only the distinct coverage
 patterns matter: every size-ell set K induces the same pattern as its
 intersection with the symbols actually present, so at most
-C(min(q, L), ell) transitions are built, once per distinct symbol column.
+C(min(q, L), ell) transitions are built, once per distinct symbol column,
+each with its K (padded by the smallest absent symbols when fewer than ell
+are present).
 
 Codes are lexicographically sorted (M, n) symbol arrays, and a row's bytes
-are its identity: the sampler and the search's input check both
-deduplicate words by a stable sort of a byte view of the rows, linear on
-sorted codes.  For binary codes of n <= 64 at ell = 1 the search packs
-each word into one uint64 by np.packbits.  Badness is hereditary: the
-K-sets of a bad tuple leave each of its sub-tuples bad.  So one depth-first
-search over ascending row prefixes, for every ell, extends a prefix only by
-rows with which each (ell+1)-subset passes a count test: at most
-(ell+1)*floor(p*n) coordinates carry ell+1 distinct symbols, as each such
-coordinate leaves one of them uncovered.  For ell = 1 this is the Hamming
+are its identity.  The DP's columns and the search's code follow one word
+rule: integer symbols in 0..q-1, one nonzero length, distinct words.  The
+sampler and that check both deduplicate words by a stable sort of a byte
+view of the rows, linear on sorted codes.  For binary codes of n <= 64 at
+ell = 1 the search packs each word into one uint64 by np.packbits.
+Badness is hereditary: the K-sets of a bad tuple leave each of its
+sub-tuples bad.  So one depth-first search over ascending row prefixes,
+for every ell, extends a prefix only by rows with which each
+(ell+1)-subset passes a count test: at most (ell+1)*floor(p*n)
+coordinates carry ell+1 distinct symbols, as each such coordinate leaves
+one of them uncovered.  For ell = 1 this is the Hamming
 test d <= 2*floor(p*n).  With L = ell+1 the test is exact, since those
 misses may go to any column and so spread evenly; for larger L the DP
 decides the L-tuples that pass.  The search returns at the first bad tuple.
@@ -221,89 +225,67 @@ def sample_random_code(spec: RandomCodeSpec) -> np.ndarray:
 
 
 def _coverage_patterns(
-    syms: Sequence[int], ell: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Distinct per-coordinate transitions: (miss indicator per column, K core).
+    syms: Sequence[int], ell: int, q: int
+) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """Distinct per-coordinate transitions: (miss indicator per column, K).
 
     Only subsets of the symbols present in this coordinate matter; any
     size-ell set acts through its intersection with them, and supersets
     dominate, so taking min(ell, #present) of the present symbols is
-    exhaustive up to domination.
+    exhaustive up to domination.  When fewer than ell symbols are present,
+    K is padded to ell symbols with the smallest absent ones of 0..q-1.
     """
     present = sorted(set(syms))
-    k = min(ell, len(present))
-    out = []
-    for core in itertools.combinations(present, k):
-        chosen = set(core)
-        miss = tuple(0 if s in chosen else 1 for s in syms)
-        out.append((miss, core))
-    return out
-
-
-def _pad_to_ell(core: Sequence[int], ell: int, q: int) -> frozenset[int]:
-    chosen = list(core)
-    for s in range(q):
-        if len(chosen) >= ell:
-            break
-        if s not in core:
-            chosen.append(s)
-    return frozenset(chosen)
+    absent = (s for s in range(q) if s not in present)
+    pad = frozenset(itertools.islice(absent, max(0, ell - len(present))))
+    return [
+        (tuple(0 if s in core else 1 for s in syms), pad.union(core))
+        for core in itertools.combinations(present, min(ell, len(present)))
+    ]
 
 
 def is_bad_tuple(
-    columns: Sequence[Sequence[int]], p: float, ell: int, q: int
+    columns: np.ndarray | Sequence[Sequence[int]], p: float, ell: int, q: int
 ) -> Optional[BadnessCertificate]:
     """Exact badness decision for L columns, with a certificate when bad.
 
-    Dynamic program over coordinates; state = per-column violation counts,
-    states exceeding the floor(p*n) budget are dropped.  Back-pointers
-    reconstruct one witnessing assignment of K_i sets.
+    The columns follow the same word rule as a code (_code_array).  Dynamic
+    program over coordinates; state = per-column violation counts, states
+    exceeding the floor(p*n) budget are dropped.  Back-pointers reconstruct
+    one witnessing assignment of K_i sets.
     """
-    L = len(columns)
-    if L < 1:
-        raise ValidationError("need at least one column")
-    n = len(columns[0])
-    cols = [tuple(c) for c in columns]
-    if any(len(c) != n for c in cols):
-        raise ValidationError("columns must share a common length")
-    if len(set(cols)) != L:
-        raise ValidationError("columns must be distinct")
-    _check_search(p, ell, L, q)
-    for c in cols:
-        for s in c:
-            if not 0 <= s < q:
-                raise ValidationError(f"symbol {s!r} outside alphabet range 0..{q - 1}")
+    _check_search(p, ell, len(columns), q)
+    cols = tuple(map(tuple, _code_array(columns, q).tolist()))
+    L, n = len(cols), len(cols[0])
 
     budget = math.floor(p * n)
     start = (0,) * L
     states: set[tuple[int, ...]] = {start}
-    trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]]] = []
     patterns: dict[tuple[int, ...], list] = {}  # per distinct symbol column, this call only
     for syms in zip(*cols):
         if syms not in patterns:
-            patterns[syms] = _coverage_patterns(syms, ell)
-        step: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for miss, core in patterns[syms]:
+            patterns[syms] = _coverage_patterns(syms, ell, q)
+        step: dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]] = {}
+        for miss, k_set in patterns[syms]:
             for st in states:
                 nxt = tuple(map(operator.add, st, miss))
                 if max(nxt) > budget:
                     continue
                 if nxt not in step:
-                    step[nxt] = (st, core)
+                    step[nxt] = (st, k_set)
         if not step:
             return None
         trace.append(step)
         states = set(step)
 
     final = min(states)
-    cores: list[tuple[int, ...]] = []
+    k_sets: list[frozenset[int]] = []
     state = final
     for step in reversed(trace):
-        state, core = step[state]
-        cores.append(core)
-    cores.reverse()
-    k_sets = tuple(_pad_to_ell(core, ell, q) for core in cores)
-    return BadnessCertificate(tuple(cols), k_sets, final, budget)
+        state, k_set = step[state]
+        k_sets.append(k_set)
+    return BadnessCertificate(cols, tuple(reversed(k_sets)), final, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +386,7 @@ def _first_bad_tuple(
         need = L - len(prefix)
         if need == 1:
             for c in cand:
-                cert = is_bad_tuple(arr[prefix + [c]].tolist(), p, ell, q)
+                cert = is_bad_tuple(arr[prefix + [c]], p, ell, q)
                 if cert is not None:
                     return cert
             return None
@@ -463,7 +445,9 @@ def contains_bad_matrix(
 def resolve_workers(explicit: Optional[int] = None) -> int:
     """Worker count: explicit argument, else CODE_THRESH_THREADS, else CPUs."""
     if explicit is not None:
-        return max(1, explicit)
+        if not isinstance(explicit, int) or explicit < 1:
+            raise ValidationError(f"workers must be an integer >= 1, got {explicit!r}")
+        return explicit
     env = os.environ.get("CODE_THRESH_THREADS")
     if env:
         try:
@@ -509,19 +493,22 @@ def empirical_threshold_sweep(
 ) -> SweepReport:
     """Fraction of seeded random codes containing a bad matrix, per (n, rate).
 
-    Invalid parameters, a base_seed outside [0, 2**64), repeated n, rates outside
-    [0, 1] or not strictly increasing, codes over SIZE_CAP and more than TRIAL_BUDGET
-    trials in all are refused before any seeding or sampling; ``max_subsets`` caps
-    the tuples tested per code at run time.  The pool runs about 16 blocks of
-    trials per worker, largest n*rate first, and seeds each trial where it
-    runs by trial_seed(base_seed, n, rate, trial): no worker count changes it.
+    Invalid parameters, a base_seed outside [0, 2**64), no or repeated n, no rates
+    or rates outside [0, 1] or not strictly increasing, codes over SIZE_CAP and more
+    than TRIAL_BUDGET trials in all are refused before any seeding or sampling;
+    ``max_subsets`` caps the tuples tested per code at run time.  The pool runs about
+    16 blocks of trials per worker, largest n*rate first, and seeds each trial where
+    it runs by trial_seed(base_seed, n, rate, trial): no worker count changes it.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    if not isinstance(trials, int) or trials < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     _check_search(p, ell, L, q)
     _check_seed(base_seed)
-    if len(set(n_list)) != len(n_list) or any(a >= b for a, b in zip(rate_grid, rate_grid[1:])):
-        raise ValidationError(f"need distinct n, strictly increasing rates: {n_list}, {rate_grid}")
+    if (0 in (len(n_list), len(rate_grid)) or len(set(n_list)) != len(n_list)
+            or any(a >= b for a, b in zip(rate_grid, rate_grid[1:]))):
+        raise ValidationError(
+            f"need distinct n, strictly increasing rates, neither empty: {n_list}, {rate_grid}"
+        )
     points = [(n, float(rate)) for n in n_list for rate in rate_grid]
     for n, rate in points:
         RandomCodeSpec(n, rate, q, 0)  # checks n, rate and q
@@ -529,8 +516,8 @@ def empirical_threshold_sweep(
         _expected_size(n, rate, q)
     if trials * len(points) > TRIAL_BUDGET:
         raise BudgetError(f"{trials} trials x {len(points)} points exceed the cap {TRIAL_BUDGET}")
-
     nworkers = resolve_workers(workers)
+
     t0 = time.perf_counter()
     # One pool, largest expected code q^{n*rate} first (Graham's LPT rule).
     size = -(-trials * len(points) // (16 * nworkers))

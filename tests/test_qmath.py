@@ -117,3 +117,10 @@ def test_multinomial_exact_small_cases():
     assert multinomial_exact(4, (1, 1, 1, 1)) == 24
     with pytest.raises(ValidationError):
         multinomial_exact(4, (3, 2))
+
+
+def test_multinomial_exact_refuses_non_integers():
+    with pytest.raises(ValidationError):
+        multinomial_exact(2.0, [1, 1])
+    with pytest.raises(ValidationError):
+        multinomial_exact(2, [1.0, 1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -151,6 +152,21 @@ def test_sample_mean_size_matches_binomial():
     assert abs(observed - spec_mean) < 5 * se
 
 
+def test_poisson_branch_past_64_bit_spaces():
+    # 2^64 words exceed the exact Binomial's range: the size is Poisson(2^6.4).
+    spec = RandomCodeSpec(n=64, rate=0.1, q=2, seed=21)
+    code = sample_random_code(spec)
+    assert code.dtype == np.uint8 and code.shape == (93, 64)
+    assert list(map(tuple, code.tolist())) == sorted(set(map(tuple, code.tolist())))
+    assert np.array_equal(code, sample_random_code(spec))
+    assert hashlib.sha256(code.tobytes()).hexdigest() == (
+        "0868c46c2b2d447b550222fcf4d2e6840f697c568cce9ed20825b0485cba8f7a"
+    )
+    mean = 2**6.4
+    sizes = [len(sample_random_code(RandomCodeSpec(64, 0.1, 2, s))) for s in range(200)]
+    assert abs(np.mean(sizes) - mean) < 4 * math.sqrt(mean / 200)
+
+
 def test_sample_budget_error():
     with pytest.raises(BudgetError):
         sample_random_code(RandomCodeSpec(n=64, rate=0.9, q=2, seed=0))
@@ -184,6 +200,33 @@ def test_is_bad_tuple_validation():
         is_bad_tuple(((0, 0), (0, 1, 1)), p=0.1, ell=1, q=2)  # ragged
     with pytest.raises(ValidationError):
         is_bad_tuple(((0, 2), (0, 1)), p=0.1, ell=1, q=2)  # symbol out of range
+
+
+@pytest.mark.parametrize("words", [[(0.5, 1), (1, 0)], [(True, False), (False, True)]])
+def test_is_bad_tuple_takes_only_integer_symbols(words):
+    # The DP and the whole-code search share one word rule.
+    with pytest.raises(ValidationError):
+        is_bad_tuple(words, p=0.5, ell=1, q=2)
+    with pytest.raises(ValidationError):
+        contains_bad_matrix(words, p=0.5, ell=1, L=2, q=2)
+
+
+def test_is_bad_tuple_certificates_hold_python_ints():
+    words = [[0, 0, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]]
+    certs = [is_bad_tuple(w, p=0.5, ell=2, q=3)
+             for w in (words, np.array(words, np.uint8), np.array(words, ">u8"))]
+    assert certs[0] is not None and certs[0].recheck()
+    assert certs[1] == certs[0] and certs[2] == certs[0]
+    for cert in certs:
+        symbols = [*itertools.chain(*cert.column_codewords), *itertools.chain(*cert.k_sets)]
+        assert {type(s) for s in symbols} == {int}
+        assert all(k <= {0, 1, 2} and len(k) == 2 for k in cert.k_sets)
+
+
+def test_recheck_refuses_k_sets_of_the_wrong_length():
+    cert = is_bad_tuple(((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1)), p=0.5, ell=1, q=2)
+    assert cert.recheck()
+    assert not dataclasses.replace(cert, k_sets=cert.k_sets[:-1]).recheck()
 
 
 @given(
@@ -692,6 +735,8 @@ def test_search_runs_one_count_test_per_first_row(monkeypatch):
         dict(n_list=[10, -5]), dict(n_list=[0]), dict(L=0), dict(q=1, ell=1), dict(ell=0),
         dict(ell=3), dict(p=-0.1), dict(p=1.5), dict(p=math.nan),
         dict(n_list=[10, 10]), dict(rate_grid=[0.4, 0.3]), dict(rate_grid=[0.2, 0.2]),
+        dict(trials=2.5), dict(n_list=[]), dict(rate_grid=[]),
+        dict(workers=2.5), dict(workers=0), dict(workers=-3),
     ],
 )
 def test_sweep_validates_inputs_before_seeding(monkeypatch, change):
