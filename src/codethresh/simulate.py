@@ -22,8 +22,9 @@ Codes are lexicographically sorted (M, n) symbol arrays, and a row's bytes
 are its identity.  The DP's columns and the search's code follow one word
 rule: integer symbols in 0..q-1, one nonzero length, distinct words.  The
 sampler and that check both deduplicate words by a stable sort of a byte
-view of the rows, linear on sorted codes.  For binary codes of n <= 64 at
-ell = 1 the search packs each word into one uint64 by np.packbits.
+view of the rows, linear on sorted codes.  For every q, ell and n the search
+holds the code as ceil(log2 q) bit planes of ceil(n/64) uint64 words, and two
+words differ where the OR over the planes of their XOR is set.
 Badness is hereditary: the K-sets of a bad tuple leave each of its
 sub-tuples bad.  So one depth-first search over ascending row prefixes,
 for every ell, extends a prefix only by rows with which each
@@ -38,8 +39,9 @@ The tests run in one pair table per prefix P, not one array call per
 (prefix, row): for candidates w < x it says whether {S, w, x} passes for
 every (ell-1)-set S of P's rows, and the walk reads the candidates of
 P + [w] from row w.  Tables fill lazily, a chunk of rows at a time, each
-chunk one broadcast block over the later candidates (a popcount of
-packed words for binary codes at ell = 1), so an early stop wastes little.
+chunk one broadcast block over the later candidates: a popcount of the AND of
+the difference masks of every pair in {S, w, x}, those not of (w, x) built
+once per prefix.  So an early stop wastes little.
 Each chunk counts the candidates its rows keep, and the walk skips with no
 call the rows left with too few for a full tuple.  A sweep sends its one
 worker pool blocks of trials, largest expected code first, and each worker
@@ -48,6 +50,7 @@ seeds the trials it runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -101,6 +104,8 @@ class RandomCodeSpec:
         if not 0.0 <= self.rate <= 1.0:
             raise ValidationError(f"rate must lie in [0, 1], got {self.rate}")
         check_alphabet(self.q)
+        if self.q > 2**63:  # the largest bound rng.integers takes
+            raise ValidationError(f"sampling needs q <= 2**63, got {self.q}")
         _check_seed(self.seed)
 
 
@@ -125,13 +130,10 @@ class BadnessCertificate:
 
     def recheck(self) -> bool:
         """Recompute the violation counts from scratch and re-validate."""
-        cols = self.column_codewords
-        n = len(self.k_sets)
-        if any(len(c) != n for c in cols):
+        if any(len(col) != len(self.k_sets) for col in self.column_codewords):
             return False
-        recount = tuple(
-            sum(1 for i in range(n) if col[i] not in self.k_sets[i]) for col in cols
-        )
+        recount = tuple(sum(s not in k for s, k in zip(col, self.k_sets))
+                        for col in self.column_codewords)
         return recount == self.violation_counts and max(recount) <= self.budget
 
 
@@ -159,9 +161,7 @@ def trial_seed(base_seed: int, n: int, rate: float, trial: int) -> int:
     Mixing function: numpy SeedSequence over the entropy tuple
     (base_seed, n, round(rate * 1e9), trial).
     """
-    ss = np.random.SeedSequence(
-        entropy=(base_seed & (2**64 - 1), n, int(round(rate * 1e9)), trial)
-    )
+    ss = np.random.SeedSequence((base_seed & (2**64 - 1), n, round(rate * 1e9), trial))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -178,8 +178,12 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _expected_size(n: int, rate: float, q: int) -> float:
-    """q^{nR}, or BudgetError past SIZE_CAP."""
-    if (expected := float(q) ** (n * rate)) > SIZE_CAP:
+    """q^{nR}, or BudgetError past SIZE_CAP (also when it overflows a float)."""
+    try:
+        expected = float(q) ** (n * rate)
+    except OverflowError:
+        expected = math.inf
+    if expected > SIZE_CAP:
         raise BudgetError(
             f"(n={n}, rate={rate}): expected code size {expected:.3g} exceeds the cap {SIZE_CAP}"
         )
@@ -201,15 +205,9 @@ def sample_random_code(spec: RandomCodeSpec) -> np.ndarray:
     space = q**n
     rng = np.random.default_rng(spec.seed)
     prob = float(q) ** -(n * (1.0 - rate))
-    if space <= 2**63 - 1:
-        m = int(rng.binomial(space, prob))
-    else:
-        m = int(rng.poisson(expected))
+    m = int(rng.binomial(space, prob) if space < 2**63 else rng.poisson(expected))
     # Unsigned and, past one byte, big-endian: row bytes sort lexicographically.
     dtype = np.dtype(np.uint8 if q <= 256 else ">u8")
-    if m == 0:
-        return np.empty((0, n), dtype=dtype)
-
     if space <= 1 << 22:
         idx = np.sort(rng.choice(space, size=m, replace=False))
         # Base-q digits, most significant first: index order is word order.
@@ -270,9 +268,7 @@ def is_bad_tuple(
         for miss, k_set in patterns[syms]:
             for st in states:
                 nxt = tuple(map(operator.add, st, miss))
-                if max(nxt) > budget:
-                    continue
-                if nxt not in step:
+                if max(nxt) <= budget and nxt not in step:
                     step[nxt] = (st, k_set)
         if not step:
             return None
@@ -309,19 +305,30 @@ def _code_array(code, q: int) -> np.ndarray:
     return arr
 
 
-def _spread(ref, rows: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Per row of ``rows``: coordinates where it and the rows of ``ref`` all differ.
+def _bit_planes(arr: np.ndarray, q: int) -> np.ndarray:
+    """(b, W, M) uint64 words: bit i % 64 of [k, i // 64, m] is bit k of symbol (m, i)."""
+    count, n = arr.shape
+    b = (q - 1).bit_length()  # q >= 2
+    bits = np.zeros((count, b, 64 * -(-n // 64)), np.uint8)
+    for k in range(b):
+        bits[:, k, :n] = arr >> k & 1 if q > 2 else arr
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8").transpose(1, 2, 0)
 
-    ``ref`` is a sequence of arrays that broadcast against ``rows``, the
-    first at least as wide as the result; ``axis`` indexes the coordinates.
-    """
-    apart = rows != ref[0]
-    for i in range(1, len(ref)):
-        apart &= rows != ref[i]
-        for j in range(i):
-            apart &= ref[i] != ref[j]
-    # Byte sums: a bool-to-int64 cast would cost more than the compares.
-    return apart.view(np.uint8).sum(axis, np.uint8 if apart.shape[axis] < 256 else np.intp)
+
+def _differ(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where words x and y differ: the OR over their bit planes (axis 0) of the XOR."""
+    apart = x[0] ^ y[0]
+    for k in range(1, len(x)):
+        apart |= x[k] ^ y[k]
+    return apart
+
+
+def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
+    """Set bits of (W, ...) masks over n coordinates, summed word by word from word 0."""
+    count = np.bitwise_count(masks[0])
+    for word in masks[1:]:  # in uint8 while n < 256
+        count = np.add(count, np.bitwise_count(word), dtype=np.uint8 if n < 256 else np.intp)
+    return count
 
 
 def _first_bad_tuple(
@@ -331,36 +338,34 @@ def _first_bad_tuple(
 
     Depth first over ascending prefixes; a prefix with at least ell-1 rows
     and two or more to add gets a pair table (module docstring), whose
-    chunks hold about _TABLE_BYTES of candidate words, coordinates first,
-    or of the words packed one per uint64 for binary codes of n <= 64 at
-    ell = 1.  The DP decides the L-tuples that pass; when L <= ell+1 the
-    test is exact, and the DP only writes the first one's certificate.
+    chunks hold about _TABLE_BYTES of candidate bit planes.  The DP decides
+    the L-tuples that pass; when L <= ell+1 the test is exact, and the DP
+    only writes the first one's certificate.
     """
     n = arr.shape[1]
     limit = (ell + 1) * math.floor(p * n)
-    # A popcount of XOR ignores the bit order, so bit i holds symbol i.
-    packed = ell == 1 and q == 2 and n <= 64
-    words = np.zeros((len(arr), 64), np.uint8) if packed else np.ascontiguousarray(arr.T)
-    if packed:  # rows zero-padded to 64 symbols, 8 to a byte
-        words[:, :n] = arr
-        words = np.packbits(words, axis=1, bitorder="little").view("<u8").ravel()
+    planes = _bit_planes(arr, q)
 
     def pair_table(prefix: list[int], cand: list[int], least: int):
         # (k, the candidates after cand[k] that pass every test with prefix + [cand[k]]),
         # in order of k, for the rows k that keep at least ``least`` of them.
         index = np.array(cand)
-        block = words.take(index, axis=-1)
+        block = planes.take(index, axis=-1)
         column = block.nbytes // len(cand)
-        refs = [arr[list(s), :, None, None] for s in itertools.combinations(prefix, ell - 1)]
+        masks = []  # per (ell-1)-set S: where its rows differ pairwise and from each candidate
+        for s in itertools.combinations(prefix, ell - 1) if ell > 1 else ():
+            rows = [planes[:, :, a, None] for a in s]
+            pairs = itertools.chain(((r, block) for r in rows), itertools.combinations(rows, 2))
+            masks.append(functools.reduce(operator.and_, itertools.starmap(_differ, pairs)))
         i0 = 0
         while i0 < len(cand) - least:  # later rows have fewer candidates left
             width = len(cand) - i0 - 1
             i1 = min(len(cand), i0 + max(1, _TABLE_BYTES // (width * column)))
-            if packed:
-                ok = np.bitwise_count(block[i0:i1, None] ^ block[i0 + 1 :]) <= limit
-            else:
-                w, x = block[:, i0:i1, None], block[:, None, i0 + 1 :]
-                ok = np.logical_and.reduce([_spread([w, *s], x, 0) <= limit for s in refs])
+            apart = _differ(block[:, :, i0:i1, None], block[:, :, None, i0 + 1 :])
+            # At ell = 1 the pair's own mask; else one test per (ell-1)-set S of the prefix.
+            ok = _popcount(apart, n) <= limit if ell == 1 else functools.reduce(operator.and_, [
+                _popcount(apart & m[:, i0:i1, None] & m[:, None, i0 + 1 :], n) <= limit
+                for m in masks])
             # Passing pairs in row-major order; keep those past each row's own column.
             r, j = np.divmod(np.flatnonzero(ok), width)
             keep = j >= r
@@ -385,11 +390,8 @@ def _first_bad_tuple(
         nonlocal tested
         need = L - len(prefix)
         if need == 1:
-            for c in cand:
-                cert = is_bad_tuple(arr[prefix + [c]], p, ell, q)
-                if cert is not None:
-                    return cert
-            return None
+            return next(filter(None, (is_bad_tuple(arr[prefix + [c]], p, ell, q) for c in cand)),
+                        None)
         if len(cand) >= need and len(prefix) >= ell - 1:
             rows = pair_table(prefix, cand, need - 1)
         else:  # each row leaves enough later ones for a full tuple
@@ -466,9 +468,7 @@ def _run_block(args) -> int:
     return found
 
 
-def _interpolate_crossing(
-    rates: Sequence[float], fractions: Sequence[float]
-) -> Optional[float]:
+def _interpolate_crossing(rates: Sequence[float], fractions: Sequence[float]) -> Optional[float]:
     """Rate where the fraction first passes 1/2, linearly interpolated."""
     if fractions and fractions[0] > 0.5:
         return float(rates[0])

@@ -279,6 +279,26 @@ def test_seed_outside_64_bits_exits_2(capsys, seed):
     assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
 
 
+def test_code_size_past_a_float_exits_1(capsys):
+    # 2^(0.3 n) overflows a float at this n; the size cap still refuses it.
+    code, out, err = _capture(
+        capsys, ["simulate", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2",
+                 "--n", "99999999999999999999", "--rates", "0.3", "--trials", "2",
+                 "--seed", "1"]
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("budget exceeded:") and err.count("\n") == 1
+
+
+def test_alphabet_past_2_63_exits_2(capsys):
+    code, out, err = _capture(
+        capsys, ["simulate", "--q", "9223372036854775813", "--ell", "1", "--L", "1",
+                 "--p", "0.1", "--n", "2", "--rates", "0", "--trials", "5", "--seed", "0"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_infinite_eps_exits_2(capsys):
     code, out, err = _capture(
         capsys, ["threshold", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2",

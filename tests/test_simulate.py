@@ -17,7 +17,9 @@ from codethresh.errors import BudgetError, ValidationError
 from codethresh.oracle import brute_force_badness
 from codethresh.simulate import (
     RandomCodeSpec,
-    _spread,
+    _bit_planes,
+    _differ,
+    _popcount,
     _unique_rows,
     contains_bad_matrix,
     empirical_threshold_sweep,
@@ -170,6 +172,22 @@ def test_poisson_branch_past_64_bit_spaces():
 def test_sample_budget_error():
     with pytest.raises(BudgetError):
         sample_random_code(RandomCodeSpec(n=64, rate=0.9, q=2, seed=0))
+
+
+def test_sample_refuses_code_sizes_past_a_float():
+    # 2^(0.3 * 10^20) overflows a float; it is refused as an infinite size.
+    with pytest.raises(BudgetError, match="expected code size inf exceeds"):
+        sample_random_code(RandomCodeSpec(10**20, 0.3, 2, 0))
+
+
+def test_sampled_alphabets_end_at_2_63():
+    # rng.integers draws below 2**63 and no higher.
+    code = sample_random_code(RandomCodeSpec(1, 0.1, 2**63, 3))
+    assert code.dtype == np.dtype(">u8") and len(code) > 1
+    assert np.all(code[1:, 0] > code[:-1, 0])
+    assert contains_bad_matrix(code, 0.0, 1, 2, 2**63) == (False, None)
+    with pytest.raises(ValidationError, match=r"2\*\*63"):
+        RandomCodeSpec(1, 0.1, 2**63 + 1, 3)
 
 
 def test_is_bad_tuple_examples():
@@ -339,7 +357,8 @@ def test_contains_bad_matrix_first_bad_tuple_for_larger_ell():
 
 
 def test_packed_words_end_at_64_binary_symbols(monkeypatch):
-    # Binary ell = 1 codes are searched on packed one-key words up to n = 64.
+    # Binary words fill one 64-bit word up to n = 64 and two at n = 65; the
+    # search counts differing symbols by popcounts at every n.
     popcounts = []
     real = np.bitwise_count
     monkeypatch.setattr(np, "bitwise_count", lambda *a: popcounts.append(1) or real(*a))
@@ -356,8 +375,45 @@ def test_packed_words_end_at_64_binary_symbols(monkeypatch):
             cert = contains_bad_matrix(code, p=0.05, ell=1, L=3, q=2)[1]
             assert cert == _first_bad_by_subset_scan(words, 0.05, 1, 3, 2)
             found += cert is not None
-        assert bool(popcounts) == (n <= 64)
+        assert popcounts
     assert 2 < found < 16
+
+
+def test_bit_plane_search_across_word_and_plane_boundaries(monkeypatch):
+    # q = 3, 4, 5 and 300 take 2, 2, 3 and 9 bit planes (300 as >u8 symbols);
+    # n = 64, 65 and 129 take one, two and three 64-bit words per plane.  Words
+    # near a center make close pairs, more noise for ell = 2 makes close triples.
+    from codethresh import simulate
+
+    tuples = []
+    real = simulate.is_bad_tuple
+    monkeypatch.setattr(simulate, "is_bad_tuple", lambda *a: tuples.append(a[0]) or real(*a))
+    found = {}
+    for q, n in itertools.product((3, 4, 5, 300), (64, 65, 129)):
+        rng = np.random.default_rng(q * 1000 + n)
+        for ell in (1, 2):
+            for L in (ell + 1, ell + 2):
+                center = rng.integers(0, q, size=n)
+                near = [
+                    np.where(rng.random(n) < (0.03 if ell == 1 else 0.2),
+                             (center + rng.integers(1, q, size=n)) % q, center)
+                    for _ in range(5)
+                ]
+                code = np.unique(np.vstack([*near, rng.integers(0, q, size=(4, n))]), axis=0)
+                code = code[rng.permutation(len(code))].astype(np.uint8 if q <= 256 else ">u8")
+                words = [tuple(w) for w in code.tolist()]
+                tuples.clear()
+                cert = contains_bad_matrix(code, p=0.02, ell=ell, L=L, q=q)[1]
+                assert cert == _first_bad_by_subset_scan(words, 0.02, ell, L, q)
+                # The count test is exact on ell + 1 columns, so the DP sees
+                # only tuples whose (ell + 1)-subsets are all bad.
+                for cols in tuples:
+                    for sub in itertools.combinations(cols.tolist(), ell + 1):
+                        assert is_bad_tuple(sub, p=0.02, ell=ell, q=q) is not None
+                found.setdefault((ell, L), []).append(cert is not None)
+    assert all(0 < sum(bad) < len(bad) for bad in found.values())
+    # Past 255 coordinates the counts leave uint8.
+    assert _popcount(np.full((5, 1), 2**64 - 1, np.uint64), 320).tolist() == [320]
 
 
 def test_tested_tuples_include_rows_without_candidates():
@@ -415,7 +471,12 @@ def test_count_test_is_exact_for_ell_plus_one_columns():
                     limit = (ell + 1) * math.floor(p * n)
                     for combo in itertools.combinations(range(len(code)), ell + 1):
                         rows = code[list(combo)]
-                        passes = int(_spread(rows[:ell], rows[ell:])[0]) <= limit
+                        planes = _bit_planes(rows, q)
+                        apart = np.bitwise_and.reduce([
+                            _differ(planes[:, :, a], planes[:, :, b])
+                            for a, b in itertools.combinations(range(ell + 1), 2)
+                        ])
+                        passes = int(_popcount(apart, n)) <= limit
                         cert = is_bad_tuple(rows.tolist(), p=p, ell=ell, q=q)
                         assert passes == (cert is not None), (rows.tolist(), p)
                         bad += passes
@@ -723,8 +784,8 @@ def test_search_runs_one_count_test_per_first_row(monkeypatch):
     from codethresh import simulate
 
     calls = []
-    real = simulate._spread
-    monkeypatch.setattr(simulate, "_spread", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = simulate._popcount
+    monkeypatch.setattr(simulate, "_popcount", lambda *a, **k: calls.append(1) or real(*a, **k))
     assert contains_bad_matrix(_tetracode(), p=0.0, ell=2, L=3, q=3) == (False, None)
     assert 0 < len(calls) <= 9
 
