@@ -7,9 +7,9 @@ solver.  Three references are provided:
 * beta as a constrained maximization over level-space distributions mu
   (mass on penalty levels d), maximizing
       F(mu) = H_q(mu) + sum_d mu[d] log_q |D_d|
-  subject to sum_d d mu[d] <= pL, either by scanning exponential-family
-  candidates over a dense multiplier grid or, fully shape-agnostic, by
-  projected pairwise coordinate ascent from random simplex starts;
+  subject to sum_d d mu[d] <= pL, either enclosed from the exact counts in
+  a proven decimal interval or, fully shape-agnostic, by projected
+  pairwise coordinate ascent from random simplex starts;
 * level-set counts by direct bucketing of all q^L vectors, and by
   weighting every composition of L into q parts with its multinomial;
 * badness of a column tuple by exhausting every K-set assignment.
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Sequence
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -28,14 +30,12 @@ from .levels import LevelProfile, LevelSetParams
 from .qmath import multinomial_exact
 
 __all__ = [
-    "beta_levelspace_oracle",
+    "beta_enclosure",
     "beta_ascent_oracle",
     "brute_force_badness",
     "brute_force_level_counts",
     "composition_level_counts",
 ]
-
-_GRID_CHUNK = 65_536
 
 
 def _finite_levels(profile: LevelProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -49,51 +49,48 @@ def _objective(mu: np.ndarray, d: np.ndarray, lc: np.ndarray, q: int) -> float:
     return ent / math.log(q) + float(mu @ lc)
 
 
-def beta_levelspace_oracle(
-    p: float, profile: LevelProfile, grid_steps: int = 20_000
-) -> float:
-    """Maximize F(mu) over feasible exponential-family candidates.
+def beta_enclosure(p: float, profile: LevelProfile) -> tuple[Decimal, Decimal]:
+    """[lo, hi] proven to contain beta, from the exact counts in 60-digit decimals.
 
-    Candidates are mu[d] proportional to |D_d| q^(alpha d) for alpha on a
-    uniform grid over the dual bracket, filtered by the mean constraint,
-    plus the always-feasible point mass on level 0 and the unconstrained
-    maximizer mu[d] = |D_d|/q^L whenever that is feasible.  Refining the
-    grid never decreases the result (the grids nest).
+    hi = g(alpha) = log_q sum_d |D_d| q^(alpha d) - alpha pL, an upper bound by
+    weak duality at alpha <= 0, the left end of [-(L + log_q(1/p)), 0] after
+    halving it against the tilted mean.  lo = F(mu) for the tilted law at
+    alpha, normalized exactly in integers and mixed with the point mass on
+    level 0 down to mean pL if above it, so mu is exactly feasible.  Decimal
+    operations err by about a unit in the 60th digit; 1e-45 of widening covers it.
+    pL >= t*, decided exactly, gives [L, L]; p = 0 gives log_q |D_0|.
     """
-    if grid_steps < 100:
-        raise ValidationError(f"grid_steps must be >= 100, got {grid_steps}")
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"p must lie in [0, 1), got {p}")
-    q, L = profile.params.q, profile.params.L
-    d, lc = _finite_levels(profile)
-    assert d[0] == 0.0, "level 0 is never empty"
-    pL = p * L
+    q, L, counts = profile.params.q, profile.params.L, profile.counts
+    p_l = Fraction(p) * L
+    if p_l * q**L >= profile.penalty_sum:
+        return Decimal(L), Decimal(L)
+    with localcontext(Context(prec=60)):
+        ln_q, slack = Decimal(q).ln(), Decimal("1e-45")
+        if p == 0.0:
+            beta = Decimal(counts[0]).ln() / ln_q
+            return beta - slack, beta + slack
 
-    best = lc[0]  # point mass on level 0: H = 0, mean = 0
-    uniform = np.power(float(q), lc - L)
-    if float(d @ uniform) <= pL:
-        best = max(best, _objective(uniform, d, lc, q))
-    if p == 0.0:
-        # Only the point mass on level 0 is feasible.
-        return float(lc[0])
+        def tilt(alpha: Decimal) -> list[Decimal]:
+            x = (alpha * ln_q).exp()
+            return [c * x**d for d, c in enumerate(counts)]
 
-    lo = -(L + math.log(1.0 / p) / math.log(q))
-    alphas = np.linspace(lo, 0.0, grid_steps + 1)
-    for start in range(0, alphas.size, _GRID_CHUNK):
-        a = alphas[start : start + _GRID_CHUNK, None]
-        w = lc[None, :] + a * d[None, :]
-        w -= w.max(axis=1, keepdims=True)
-        z = np.power(float(q), w)
-        mu = z / z.sum(axis=1, keepdims=True)
-        means = mu @ d
-        feasible = means <= pL + 1e-12
-        if not feasible.any():
-            continue
-        muf = mu[feasible]
-        ent = -np.sum(np.where(muf > 0.0, muf * np.log(np.maximum(muf, 1e-300)), 0.0), axis=1)
-        values = ent / math.log(q) + muf @ lc
-        best = max(best, float(values.max()))
-    return float(best)
+        target, left, right = Decimal(p) * L, Decimal(p).ln() / ln_q - L, Decimal(0)
+        for _ in range(200):  # the bracket is below 2e4 wide; it ends below 1e-55
+            mid = (left + right) / 2
+            below = sum((d - target) * w for d, w in enumerate(tilt(mid))) < 0
+            left, right = (mid, right) if below else (left, mid)
+        z = tilt(left)
+        hi = sum(z).ln() / ln_q - left * target
+        ints = [int(w.scaleb(70)) for w in z]  # ints[0] >= 2e70, as |D_0| >= 2
+        moment, total = sum(d * w for d, w in enumerate(ints)), sum(ints)
+        keep = min(Fraction(1), p_l * total / moment) if moment else Fraction(1)
+        mu = [keep * Fraction(w, total) for w in ints]
+        mu[0] += 1 - keep
+        lo = sum(m * (Decimal(c).ln() - m.ln()) for c, m in zip(
+            counts, (Decimal(f.numerator) / f.denominator for f in mu)) if m)
+        return lo / ln_q - slack, hi + slack
 
 
 def beta_ascent_oracle(

@@ -168,9 +168,9 @@ def trial_seed(base_seed: int, n: int, rate: float, trial: int) -> int:
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """Distinct rows, sorted by their bytes (lexicographic for unsigned big-endian symbols)."""
     rows = np.ascontiguousarray(rows)
-    # Timsort: linear on the sampler's already sorted codes.
-    flat = np.sort(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel(),
-                   kind="stable")
+    flat = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    # Timsort: linear on sorted codes. np.sort raises MemoryError past ~90 kB rows.
+    flat = flat[np.argsort(flat, kind="stable")]
     keep = np.ones(len(flat), bool)
     keep[1:] = flat[1:] != flat[:-1]
     flat = flat[keep]
@@ -342,6 +342,8 @@ def _first_bad_tuple(
     the L-tuples that pass; when L <= ell+1 the test is exact, and the DP
     only writes the first one's certificate.
     """
+    if len(arr) < L:  # no L-tuple: nothing is tested, and no planes are built
+        return None
     n = arr.shape[1]
     limit = (ell + 1) * math.floor(p * n)
     planes = _bit_planes(arr, q)

@@ -2,8 +2,9 @@
 
 Each check returns a dict row {check, status, observed, bound}; the CLI
 renders these and fails with exit code 1 if any status is not PASS.
-The grids mirror the acceptance tests but are trimmed so a full run
-stays in the one-minute range (use quick=True for a smoke pass).
+The solver's beta must lie within 1e-8 of the enclosure's midpoint (eps 1e-9,
+L <= 6) and 1e-4 of the ascent oracle.  The grids mirror the acceptance tests
+but are trimmed so a full run stays in the one-minute range (quick=True: smoke).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .levels import LevelSetParams, level_profile
 from .oracle import (
     beta_ascent_oracle,
-    beta_levelspace_oracle,
+    beta_enclosure,
     brute_force_badness,
     brute_force_level_counts,
 )
@@ -39,15 +40,15 @@ def _solver_grid(max_L: int, p_step: float) -> list[tuple[float, int, int, int]]
     return points
 
 
-def _check_oracle(name: str, oracle: Callable, grid: list, **kwargs) -> dict[str, Any]:
-    """Worst |beta| gap between the solver and ``oracle(p, profile, **kwargs)``."""
+def _check_oracle(name: str, oracle: Callable, grid: list, bound: float) -> dict[str, Any]:
+    """Worst |beta| gap between the solver and ``oracle(p, profile)``."""
     worst = 0.0
     for p, ell, L, q in grid:
         profile = level_profile(LevelSetParams(q, ell, L))
         exact = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9)).beta
-        worst = max(worst, abs(exact - oracle(p, profile, **kwargs)))
-    status = "PASS" if worst <= 1e-4 else "FAIL"
-    return {"check": name, "status": status, "observed": worst, "bound": 1e-4}
+        worst = max(worst, abs(exact - oracle(p, profile)))
+    status = "PASS" if worst <= bound else "FAIL"
+    return {"check": name, "status": status, "observed": worst, "bound": bound}
 
 
 def _check_dp_vs_brute(quick: bool) -> dict[str, Any]:
@@ -94,10 +95,9 @@ def verification_report(quick: bool = False) -> list[dict[str, Any]]:
     step = 0.04 if quick else 0.02
     return [
         _check_level_counts(quick),
-        _check_oracle("solver_vs_grid_oracle", beta_levelspace_oracle,
-                      _solver_grid(4 if quick else 6, step),
-                      grid_steps=100_000 if quick else 300_000),
-        _check_oracle("solver_vs_ascent_oracle", beta_ascent_oracle,
-                      _solver_grid(3 if quick else 6, step), starts=5),
+        _check_oracle("solver_vs_enclosure", lambda p, pr: float(sum(beta_enclosure(p, pr)) / 2),
+                      _solver_grid(4 if quick else 6, step), 1e-8),
+        _check_oracle("solver_vs_ascent_oracle", lambda p, pr: beta_ascent_oracle(p, pr, starts=5),
+                      _solver_grid(3 if quick else 6, step), 1e-4),
         _check_dp_vs_brute(quick),
     ]

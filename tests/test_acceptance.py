@@ -10,6 +10,7 @@ in the assertions.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from codethresh.levels import LevelSetParams, level_profile
 from codethresh.oracle import (
     beta_ascent_oracle,
-    beta_levelspace_oracle,
+    beta_enclosure,
     brute_force_badness,
     brute_force_level_counts,
 )
@@ -99,20 +100,27 @@ def _criterion_4_grid():
 
 
 def test_criterion_04_oracle_equivalence(capfd):
+    # The solver's claim against the proven enclosure: lo <= beta and
+    # beta - L * error_bound <= hi, each to 1e-12 of rounding, with the
+    # bound itself at most 1e-9.
     grid = _criterion_4_grid()
-    worst_grid = worst_ascent = 0.0
+    worst_enclosure = worst_bound = worst_ascent = 0.0
     for p, ell, L, q, profile in grid:
-        exact = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9)).beta
-        worst_grid = max(
-            worst_grid,
-            abs(exact - beta_levelspace_oracle(p, profile, grid_steps=300_000)),
+        res = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9))
+        exact = res.beta
+        lo, hi = beta_enclosure(p, profile)
+        beta = Decimal(exact)
+        worst_enclosure = max(
+            worst_enclosure, float(lo - beta), float(beta - L * Decimal(res.error_bound) - hi)
         )
+        worst_bound = max(worst_bound, res.error_bound)
         worst_ascent = max(
             worst_ascent, abs(exact - beta_ascent_oracle(p, profile, starts=5))
         )
-    ok = worst_grid <= 1e-4 and worst_ascent <= 1e-4
-    _report(capfd, 4, ok, f"{len(grid)} points: max |bisection - grid oracle| = "
-                          f"{worst_grid:.3g}, max |bisection - ascent oracle| = "
+    ok = worst_enclosure <= 1e-12 and worst_bound <= 1e-9 and worst_ascent <= 1e-4
+    _report(capfd, 4, ok, f"{len(grid)} points: bisection outside the proven enclosure by "
+                          f"at most {worst_enclosure:.3g} (tol 1e-12, error_bound <= "
+                          f"{worst_bound:.3g}, tol 1e-9), max |bisection - ascent oracle| = "
                           f"{worst_ascent:.3g} (tol 1e-4)")
     assert ok
 

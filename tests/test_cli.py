@@ -156,7 +156,7 @@ def test_verify_quick_passes(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert {r["check"] for r in rows} == {
         "level_counts_vs_enumeration",
-        "solver_vs_grid_oracle",
+        "solver_vs_enclosure",
         "solver_vs_ascent_oracle",
         "dp_vs_brute_force",
     }
@@ -288,6 +288,16 @@ def test_code_size_past_a_float_exits_1(capsys):
     )
     assert code == 1 and out == ""
     assert err.startswith("budget exceeded:") and err.count("\n") == 1
+
+
+def test_simulate_million_symbol_words_exit_0(capsys):
+    # At rate 0 every n passes the size cap; the sampler's dedup once ran out of memory here.
+    code, out, err = _capture(
+        capsys, ["simulate", "--q", "2", "--ell", "1", "--L", "3", "--p", "0.1",
+                 "--n", "1000000", "--rates", "0", "--trials", "2", "--seed", "0"]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["rows"][0]["satisfied"] == 0
 
 
 def test_alphabet_past_2_63_exits_2(capsys):

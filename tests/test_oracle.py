@@ -1,18 +1,22 @@
-"""Brute-force references: level-space maximizers, exhaustive badness."""
+"""Brute-force references: the beta enclosure and ascent, exhaustive badness."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
+import math
+from decimal import Decimal
 
 import pytest
+from test_solver import FROZEN_BETA
 
 import codethresh.oracle
 from codethresh.errors import BudgetError, ValidationError
 from codethresh.levels import LevelSetParams, level_profile
 from codethresh.oracle import (
     beta_ascent_oracle,
-    beta_levelspace_oracle,
+    beta_enclosure,
     brute_force_badness,
     brute_force_level_counts,
 )
@@ -20,42 +24,45 @@ from codethresh.simulate import is_bad_tuple
 from codethresh.solver import ThresholdQuery, threshold_rate
 
 
-def test_grid_oracle_agrees_with_bisection_on_frozen_points():
-    for (p, ell, L, q), expected in {
-        (0.10, 1, 3, 2): 2.3567796494470395,
-        (0.12, 1, 3, 3): 2.1914905964015778,
-        (0.15, 1, 4, 2): 3.3278172609302451,
-    }.items():
-        profile = level_profile(LevelSetParams(q, ell, L))
-        approx = beta_levelspace_oracle(p, profile, grid_steps=200_000)
-        assert approx == pytest.approx(expected, abs=1e-4)
-        assert approx <= expected + 1e-12  # grid candidates are feasible
+def test_enclosure_holds_the_frozen_betas():
+    for (p, ell, L, q), expected in FROZEN_BETA.items():
+        lo, hi = beta_enclosure(p, level_profile(LevelSetParams(q, ell, L)))
+        ulp = Decimal(math.ulp(expected))
+        assert lo - ulp <= Decimal(expected) <= hi + ulp, (p, ell, L, q)
+        assert hi - lo < Decimal("1e-30")
 
 
-def test_grid_oracle_refinement_is_monotone():
-    profile = level_profile(LevelSetParams(3, 1, 3))
-    values = [
-        beta_levelspace_oracle(0.12, profile, grid_steps=steps)
-        for steps in (500, 5_000, 50_000)
-    ]
-    assert values[0] <= values[1] + 1e-15
-    assert values[1] <= values[2] + 1e-15
-
-
-def test_grid_oracle_zero_rate_and_p_zero():
+def test_enclosure_zero_rate_and_p_zero():
     profile = level_profile(LevelSetParams(2, 1, 3))
-    # pL >= t*: the unconstrained maximizer is feasible, so beta = L
-    assert beta_levelspace_oracle(0.3, profile) == pytest.approx(3.0, abs=1e-9)
-    # p = 0: only the level-0 point mass remains
-    assert beta_levelspace_oracle(0.0, profile) == pytest.approx(1.0, abs=1e-15)
+    # pL >= t*: the unconstrained maximizer is feasible, so beta = L exactly
+    assert beta_enclosure(0.3, profile) == (3, 3)
+    # p = 0: only the level-0 point mass remains, and |D_0| = 2 = q
+    lo, hi = beta_enclosure(0.0, profile)
+    assert lo <= 1 <= hi and hi - lo < Decimal("1e-30")
 
 
-def test_grid_oracle_validation():
+def test_enclosure_validation():
     profile = level_profile(LevelSetParams(2, 1, 3))
-    with pytest.raises(ValidationError):
-        beta_levelspace_oracle(0.1, profile, grid_steps=10)
-    with pytest.raises(ValidationError):
-        beta_levelspace_oracle(1.0, profile)
+    for p in (1.0, math.nan):
+        with pytest.raises(ValidationError):
+            beta_enclosure(p, profile)
+
+
+def test_enclosure_excludes_beta_of_a_miscounted_profile():
+    profile = level_profile(LevelSetParams(2, 1, 3))
+    counts = list(profile.counts)
+    counts[1] += 1
+    lo, hi = beta_enclosure(0.10, dataclasses.replace(profile, counts=tuple(counts)))
+    assert not lo <= Decimal(FROZEN_BETA[0.10, 1, 3, 2]) <= hi
+
+
+def test_enclosure_is_tight_on_a_large_profile():
+    profile = level_profile(LevelSetParams(3, 1, 300))
+    p = 0.5 * profile.t_star / 300
+    lo, hi = beta_enclosure(p, profile)
+    assert 0 < hi - lo < Decimal("1e-30")
+    exact = threshold_rate(ThresholdQuery(p, 1, 300, 3, epsilon=1e-9))
+    assert lo - Decimal("1e-9") <= Decimal(exact.beta) <= hi + Decimal("1e-9")
 
 
 def test_ascent_oracle_matches_bisection():

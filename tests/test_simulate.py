@@ -142,6 +142,14 @@ def test_unique_rows_on_sorted_and_repeated_input(dtype, q):
         assert list(map(tuple, out.tolist())) == sorted(set(map(tuple, case.tolist())))
 
 
+def test_unique_rows_on_rows_wider_than_a_void_sort_takes():
+    # np.sort of a 100,000-byte void view raised MemoryError; argsort does not.
+    rows = np.random.default_rng(5).integers(0, 2, size=(3, 100_000)).astype(np.uint8)
+    rows[0, -1], rows[1, -1] = 1, 0
+    out = _unique_rows(rows[[2, 0, 1, 0]])
+    assert list(map(tuple, out.tolist())) == sorted(set(map(tuple, rows.tolist())))
+
+
 def test_sample_mean_size_matches_binomial():
     # inclusion probability q^{-n(1-R)}: mean size q^{nR}
     spec_mean = 2 ** (10 * 0.5)
@@ -788,6 +796,14 @@ def test_search_runs_one_count_test_per_first_row(monkeypatch):
     monkeypatch.setattr(simulate, "_popcount", lambda *a, **k: calls.append(1) or real(*a, **k))
     assert contains_bad_matrix(_tetracode(), p=0.0, ell=2, L=3, q=3) == (False, None)
     assert 0 < len(calls) <= 9
+
+
+def test_codes_shorter_than_L_build_no_bit_planes(monkeypatch):
+    from codethresh import simulate
+
+    monkeypatch.setattr(simulate, "_bit_planes", lambda *a: pytest.fail("planes built"))
+    for words in ([[0, 1, 1]], [[0, 1, 1], [1, 0, 0]]):
+        assert contains_bad_matrix(words, p=1.0, ell=1, L=3, q=2, max_subsets=0) == (False, None)
 
 
 @pytest.mark.parametrize(
