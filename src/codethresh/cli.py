@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -39,15 +38,30 @@ __all__ = ["run", "main"]
 GRID_BUDGET = 100_000
 
 
-def _sig12(obj: Any) -> Any:
-    """Round every float in a nested payload to 12 significant digits."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _sig12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sig12(v) for v in obj]
-    return obj
+def _num(x):
+    """x rounded to 12 significant digits, printed as the shortest text of that float."""
+    return repr(float("%.12g" % x))
+
+
+def _put_json(o, put, pad=""):
+    """Write o as json.dumps(o, indent=2) writes it, each finite float by _num; str keys only.
+
+    Not a closure: one calling itself is a cycle, keeping the pieces until a GC pass.
+    """
+    if isinstance(o, float) and math.isfinite(o):
+        put(_num(o))
+    elif type(o) is int:  # bools and other subclasses print as json.dumps prints them
+        put(repr(o))
+    elif isinstance(o, (dict, list, tuple)) and o:
+        inner, keyed = f"{pad}  ", isinstance(o, dict)
+        sep = f"{'{' if keyed else '['}\n{inner}"
+        for k, v in o.items() if keyed else enumerate(o):
+            put(f"{sep}{json.encoder.encode_basestring_ascii(k)}: " if keyed else sep)
+            _put_json(v, put, inner)
+            sep = f",\n{inner}"
+        put(f"\n{pad}{'}' if keyed else ']'}")
+    else:  # str, None, bools, NaN, infinities, empty containers; json.dumps raises on others
+        put(json.dumps(o))
 
 
 def _float_grid(lo: float, hi: float, step: float) -> list[float]:
@@ -81,7 +95,7 @@ def _float_grid(lo: float, hi: float, step: float) -> list[float]:
 
 def _cmd_threshold(args) -> tuple[Any, list[dict]]:
     res = threshold_rate(ThresholdQuery(args.p, args.ell, args.L, args.q, args.eps))
-    row = dataclasses.asdict(res)
+    row = dict(vars(res))
     return row, [row]
 
 
@@ -254,7 +268,8 @@ def run(argv: Optional[list[str]] = None) -> int:
             sys.stdout, fieldnames=list(rows[0]), lineterminator="\n"
         )
         writer.writeheader()
-        writer.writerows(_sig12(rows))
+        writer.writerows({k: _num(v) if isinstance(v, float) else v for k, v in r.items()}
+                         for r in rows)
     else:
         parameters = {
             k: v for k, v in vars(args).items() if k not in ("command", "format", "handler")
@@ -266,7 +281,9 @@ def run(argv: Optional[list[str]] = None) -> int:
             "version": __version__,
             "elapsed_ms": elapsed_ms,
         }
-        print(json.dumps(_sig12(envelope), indent=2))
+        out = []  # the pieces, joined once: long strings are copied once
+        _put_json(envelope, out.append)
+        print("".join(out))
 
     if args.command == "verify":
         if any(c["status"] != "PASS" for c in rows):

@@ -82,6 +82,9 @@ SIZE_CAP = 2_000_000
 #: Cap on the total trials of one sweep, all (n, rate) points together.
 TRIAL_BUDGET = 1_000_000
 
+#: Cap on one search's pair tests, one per pair of words and 64-bit word of bit planes.
+PAIR_BUDGET = 2**31
+
 #: Default cap on the number of candidate tuples checked per code.
 DEFAULT_SUBSET_CAP = 2_000_000
 
@@ -347,10 +350,12 @@ def _first_bad_tuple(
     n = arr.shape[1]
     limit = (ell + 1) * math.floor(p * n)
     planes = _bit_planes(arr, q)
+    compared = 0  # pair tests so far, as PAIR_BUDGET counts them
 
     def pair_table(prefix: list[int], cand: list[int], least: int):
         # (k, the candidates after cand[k] that pass every test with prefix + [cand[k]]),
         # in order of k, for the rows k that keep at least ``least`` of them.
+        nonlocal compared
         index = np.array(cand)
         block = planes.take(index, axis=-1)
         column = block.nbytes // len(cand)
@@ -363,6 +368,9 @@ def _first_bad_tuple(
         while i0 < len(cand) - least:  # later rows have fewer candidates left
             width = len(cand) - i0 - 1
             i1 = min(len(cand), i0 + max(1, _TABLE_BYTES // (width * column)))
+            compared += (i1 - i0) * (2 * width - (i1 - i0) + 1) // 2 * (column // 8)
+            if compared > PAIR_BUDGET:
+                raise BudgetError(f"more than {PAIR_BUDGET} pair tests of 64-bit plane words")
             apart = _differ(block[:, :, i0:i1, None], block[:, :, None, i0 + 1 :])
             # At ell = 1 the pair's own mask; else one test per (ell-1)-set S of the prefix.
             ok = _popcount(apart, n) <= limit if ell == 1 else functools.reduce(operator.and_, [
@@ -435,7 +443,7 @@ def contains_bad_matrix(
     counts as tested when the count test checks its last row against a
     surviving prefix of L-1 rows, whether or not the DP then runs on it;
     for every ell, BudgetError is raised once more than ``max_subsets``
-    are tested.
+    are tested, or once the pair tables run more than PAIR_BUDGET pair tests.
     """
     _check_search(p, ell, L, q)
     cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q, max_subsets)

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import enum
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import codethresh
+from codethresh import cli
 from codethresh.cli import run
 
 
@@ -290,6 +298,21 @@ def test_code_size_past_a_float_exits_1(capsys):
     assert err.startswith("budget exceeded:") and err.count("\n") == 1
 
 
+def test_codes_past_the_pair_budget_exit_promptly():
+    # At p = 0 no two of the 2^18 binary words pass the count test, so the search's
+    # pair table would test all 3.4e10 pairs; max_subsets never counts them.
+    src = os.path.dirname(os.path.dirname(codethresh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "codethresh.cli", "simulate", "--p", "0", "--ell", "1",
+         "--L", "3", "--q", "2", "--n", "18", "--rates", "1", "--trials", "1", "--seed", "0"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("budget exceeded:")
+
+
 def test_simulate_million_symbol_words_exit_0(capsys):
     # At rate 0 every n passes the size cap; the sampler's dedup once ran out of memory here.
     code, out, err = _capture(
@@ -382,3 +405,104 @@ def test_options_keep_their_order(capsys, monkeypatch, command):
     assert code == 0
     section = out.split("\noptions:\n", 1)[1]
     assert re.findall(r"^  (?:-\w, )?(--[\w-]+)", section, re.M) == options
+
+
+# ---------------------------------------------------------------------------
+# Number rendering, against the rounding pass and indented json.dumps it replaced.
+
+
+def _sig12(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _sig12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sig12(v) for v in obj]
+    return obj
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(_sig12(obj), indent=2)
+
+
+def _render(obj) -> str:
+    out = []
+    cli._put_json(obj, out.append)
+    return "".join(out)
+
+
+_FLOATS = st.floats() | st.floats().map(np.float64)  # NaN, +-inf, +-0.0 and subnormals
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\n\t\x7f", "\u00e9\u20ac\U0001f600", ""])
+_SCALARS = (_FLOATS | st.integers() | st.integers(2**64, 2**200) | st.booleans() | st.none()
+            | _TEXT | st.sampled_from(list(enum.IntEnum("Level", "LOW HIGH"))))
+_PAYLOADS = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=4)
+                         | st.lists(kids, max_size=4).map(tuple)
+                         | st.dictionaries(_TEXT, kids, max_size=4), max_leaves=30)
+
+_PINNED = [5e-324, 2.2250738585072014e-308, 999999999999.5, 1e12, 9999999999999998.0, -0.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS)
+def test_json_renderer_matches_rounded_dumps(payload):
+    assert _render(payload) == _reference_json(payload)
+
+
+@pytest.mark.parametrize("x", _PINNED + [-x for x in _PINNED], ids=repr)
+def test_pinned_floats_render_as_the_rounded_float(x):
+    assert cli._num(x) == cli._num(np.float64(x)) == str(float(f"{x:.12g}"))
+    assert _render({"x": [x, (x,)]}) == _reference_json({"x": [x, (x,)]})
+
+
+def test_json_renderer_leaves_no_garbage_cycle():
+    # A cycle would hold each output's pieces until a collection: 1.7 MB more
+    # peak RSS over the 66 sweeps of the exact-sweep benchmark workload.
+    payload = {"rows": [{"p": 0.1 * i, "exact": [1.0, None, "x"]} for i in range(50)]}
+    gc.collect()
+    gc.disable()
+    try:
+        _render(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_json_renderer_refuses_what_json_refuses():
+    for bad in (object(), np.int64(3), np.bool_(True), {"a": [{1.5}]}):
+        with pytest.raises(TypeError):
+            _render(bad)
+
+
+def test_json_renderer_refuses_non_str_keys():
+    # json.dumps would print {"1": 2.0}; no payload has such keys.
+    with pytest.raises(TypeError):
+        _render({1: 2.0})
+
+
+def _print(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FLOATS, min_size=1, max_size=6) | st.sampled_from([_PINNED]))
+def test_printed_floats_match_the_rounded_float(xs):
+    # A stand-in solver result carries the floats through both output formats.
+    fields = {f"x{i}": x for i, x in enumerate(xs)}
+    argv = ["threshold", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "threshold_rate", lambda query: types.SimpleNamespace(**fields))
+        table = _print(["--format", "csv", *argv])
+        doc = _print(argv)
+    (row,) = csv.DictReader(io.StringIO(table))
+    assert list(row.values()) == [str(float(f"{x:.12g}")) for x in xs]
+    envelope = {
+        "command": "threshold",
+        "parameters": {"p": 0.1, "ell": 1, "L": 3, "q": 2, "eps": 1e-06},
+        "results": fields,
+        "version": codethresh.__version__,
+        "elapsed_ms": 0,
+    }
+    assert _strip_timing(doc) == _strip_timing(_reference_json(envelope) + "\n")

@@ -806,6 +806,26 @@ def test_codes_shorter_than_L_build_no_bit_planes(monkeypatch):
         assert contains_bad_matrix(words, p=1.0, ell=1, L=3, q=2, max_subsets=0) == (False, None)
 
 
+def test_pair_budget_charges_the_pair_tests_run(monkeypatch):
+    from codethresh import simulate
+
+    # The whole binary space at n = 16 stays within the budget, n = 17 does not ...
+    assert 2**16 * (2**16 - 1) // 2 <= simulate.PAIR_BUDGET < 2**17 * (2**17 - 1) // 2
+    space = np.array(list(itertools.product((0, 1), repeat=17)), dtype=np.uint8)
+    # ... but at p = 1 its first tuple is bad, and found after one row of pairs.
+    found, cert = contains_bad_matrix(space, p=1.0, ell=1, L=3, q=2)
+    assert found and cert.column_codewords == tuple(map(tuple, space[:3].tolist()))
+    # Four 2-bit words make 6 pairs of 2 tests; a fifth word makes 10 pairs.
+    words = [[a, b, c] for a in range(4) for b in (0, 1) for c in (0, 1)]
+    monkeypatch.setattr(simulate, "PAIR_BUDGET", 12)
+    assert contains_bad_matrix(words[:4], p=0.0, ell=1, L=2, q=4) == (False, None)
+    with pytest.raises(BudgetError, match="more than 12 pair tests"):
+        contains_bad_matrix(words[:5], p=0.0, ell=1, L=2, q=4)
+    monkeypatch.setattr(simulate, "PAIR_BUDGET", 11)
+    with pytest.raises(BudgetError, match="more than 11 pair tests"):
+        contains_bad_matrix(words[:4], p=0.0, ell=1, L=2, q=4)
+
+
 @pytest.mark.parametrize(
     "change",
     [
