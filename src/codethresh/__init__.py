@@ -16,10 +16,8 @@ from .qmath import (
     q_ary_entropy,
 )
 from .rlc import (
-    BinaryDistribution3,
     ImpliedTypeEntry,
     ImpliedTypeScan,
-    implied_distribution,
     implied_type_scan,
     rlc_list_of_two_threshold,
 )
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadnessCertificate",
-    "BinaryDistribution3",
     "BudgetError",
     "DomainError",
     "ImpliedTypeEntry",
@@ -67,7 +64,6 @@ __all__ = [
     "contains_bad_matrix",
     "empirical_threshold_sweep",
     "entropy_q",
-    "implied_distribution",
     "implied_type_scan",
     "is_bad_tuple",
     "kl_estimate",

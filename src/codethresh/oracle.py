@@ -2,7 +2,7 @@
 
 Used by tests and the `verify` CLI subcommand only; nothing here is on a
 performance path, and nothing here shares optimization code with the
-solver.  Three references are provided:
+solver.  Four references are provided:
 
 * beta as a constrained maximization over level-space distributions mu
   (mass on penalty levels d), maximizing
@@ -12,7 +12,9 @@ solver.  Three references are provided:
   pairwise coordinate ascent from random simplex starts;
 * level-set counts by direct bucketing of all q^L vectors, and by
   weighting every composition of L into q parts with its multinomial;
-* badness of a column tuple by exhausting every K-set assignment.
+* badness of a column tuple by exhausting every K-set assignment;
+* the pushforward of a distribution tau over F_2^3 under one full-rank
+  binary map, the map-level reference for the random linear code scan.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "brute_force_badness",
     "brute_force_level_counts",
     "composition_level_counts",
+    "implied_distribution",
 ]
 
 
@@ -93,21 +96,15 @@ def beta_enclosure(p: float, profile: LevelProfile) -> tuple[Decimal, Decimal]:
         return lo / ln_q - slack, hi + slack
 
 
-def beta_ascent_oracle(
-    p: float,
-    profile: LevelProfile,
-    starts: int = 50,
-    seed: int = 0,
-    max_sweeps: int = 500,
-) -> float:
+def beta_ascent_oracle(p: float, profile: LevelProfile) -> float:
     """Maximize F(mu) by projected pairwise coordinate ascent.
 
-    Makes no use of the exponential-family shape: random feasible simplex
-    points are improved by exact line searches along mass transfers
+    Makes no use of the exponential-family shape: 5 random feasible simplex
+    points (seed 0) are improved by exact line searches along mass transfers
     between level pairs, plus mean-preserving transfers among level
     triples (needed once the mean constraint binds, where no pair move
-    can slide along the constraint).  Intended for the smallest profiles
-    (L <= 3), where the landscape is low-dimensional.
+    can slide along the constraint), for at most 500 sweeps each.  Intended
+    for the smallest profiles (L <= 3), where the landscape is low-dimensional.
     """
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"p must lie in [0, 1), got {p}")
@@ -118,10 +115,10 @@ def beta_ascent_oracle(
     if k == 1:
         return float(lc[0])
     weights = np.power(float(q), lc - lc.max())  # relative |D_d|, overflow-safe
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     best = float(lc[0])
-    for _ in range(starts):
+    for _ in range(5):
         mu = rng.dirichlet(np.ones(k))
         mean = float(d @ mu)
         if mean > pL:
@@ -131,7 +128,7 @@ def beta_ascent_oracle(
             mu[0] += 1.0 - lam
             mean = float(d @ mu)
         value = _objective(mu, d, lc, q)
-        for _ in range(max_sweeps):
+        for _ in range(500):
             improved = 0.0
             for i in range(k):
                 for j in range(i + 1, k):
@@ -282,3 +279,52 @@ def composition_level_counts(params: LevelSetParams) -> tuple[int, ...]:
         eta = [b - a - 1 for a, b in zip(edges, edges[1:])]
         counts[L - sum(sorted(eta, reverse=True)[:ell])] += multinomial_exact(L, eta)
     return tuple(counts)
+
+
+def _rank_gf2(vectors: Sequence[int]) -> int:
+    """Rank over F_2 of bitmask vectors, by leading-bit elimination."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = v
+                break
+            v ^= basis[lead]
+    return len(basis)
+
+
+def _matrix_rows(a_matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Validate an m x 3 binary matrix and pack its rows into bitmasks."""
+    m = len(a_matrix)
+    if not 1 <= m <= 3:
+        raise ValidationError(f"matrix must have 1 to 3 rows, got {m}")
+    rows = []
+    for row in a_matrix:
+        if len(row) != 3 or any(x not in (0, 1) for x in row):
+            raise ValidationError(f"matrix rows must be binary triples, got {row!r}")
+        rows.append(row[0] << 2 | row[1] << 1 | row[2])
+    if _rank_gf2(rows) != m:
+        raise ValidationError("matrix must have full rank over F_2")
+    return tuple(rows)
+
+
+def implied_distribution(
+    tau: Sequence[float], a_matrix: Sequence[Sequence[int]]
+) -> tuple[float, ...]:
+    """Pushforward of tau under u -> Au, as probabilities over F_2^m.
+
+    tau holds the probabilities of the 8 vectors of F_2^3, indexed with the
+    first coordinate as the most significant bit (6 = 110); A is a full-rank
+    m x 3 binary matrix, m = 1, 2 or 3.
+    """
+    if len(tau) != 8 or not all(x >= 0.0 for x in tau) or not abs(math.fsum(tau) - 1) <= 1e-12:
+        raise ValidationError(f"tau must be 8 nonnegative numbers summing to 1, got {tau!r}")
+    rows = _matrix_rows(a_matrix)
+    out = [0.0] * (1 << len(rows))
+    for u in range(8):
+        image = 0
+        for row in rows:
+            image = image << 1 | bin(row & u).count("1") & 1  # bit <row, u> of A u
+        out[image] += tau[u]
+    return tuple(out)

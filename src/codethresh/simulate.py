@@ -85,6 +85,12 @@ TRIAL_BUDGET = 1_000_000
 #: Cap on one search's pair tests, one per pair of words and 64-bit word of bit planes.
 PAIR_BUDGET = 2**31
 
+#: Cap on the state entries (states times L) one badness DP keeps, over all coordinates.
+STATE_BUDGET = 2**20
+
+#: Cap on the rows of the tuples a search builds, the depth of its recursion.
+DEPTH_BUDGET = 64
+
 #: Default cap on the number of candidate tuples checked per code.
 DEFAULT_SUBSET_CAP = 2_000_000
 
@@ -253,13 +259,14 @@ def is_bad_tuple(
     The columns follow the same word rule as a code (_code_array).  Dynamic
     program over coordinates; state = per-column violation counts, states
     exceeding the floor(p*n) budget are dropped.  Back-pointers reconstruct
-    one witnessing assignment of K_i sets.
+    one witnessing assignment of K_i sets.  BudgetError past STATE_BUDGET state entries.
     """
     _check_search(p, ell, len(columns), q)
     cols = tuple(map(tuple, _code_array(columns, q).tolist()))
     L, n = len(cols), len(cols[0])
 
     budget = math.floor(p * n)
+    kept = 0  # state entries in the trace, as STATE_BUDGET counts them
     start = (0,) * L
     states: set[tuple[int, ...]] = {start}
     trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]]] = []
@@ -275,6 +282,9 @@ def is_bad_tuple(
                     step[nxt] = (st, k_set)
         if not step:
             return None
+        kept += len(step) * L
+        if kept > STATE_BUDGET:
+            raise BudgetError(f"more than {STATE_BUDGET} badness DP state entries")
         trace.append(step)
         states = set(step)
 
@@ -311,11 +321,12 @@ def _code_array(code, q: int) -> np.ndarray:
 def _bit_planes(arr: np.ndarray, q: int) -> np.ndarray:
     """(b, W, M) uint64 words: bit i % 64 of [k, i // 64, m] is bit k of symbol (m, i)."""
     count, n = arr.shape
-    b = (q - 1).bit_length()  # q >= 2
-    bits = np.zeros((count, b, 64 * -(-n // 64)), np.uint8)
-    for k in range(b):
-        bits[:, k, :n] = arr >> k & 1 if q > 2 else arr
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8").transpose(1, 2, 0)
+    bits = np.zeros((count, 64 * -(-n // 64)), np.uint8)  # one plane, a byte per bit
+    planes = []
+    for k in range((q - 1).bit_length()):  # q >= 2
+        bits[:, :n] = arr >> k & 1 if q > 2 else arr
+        planes.append(np.packbits(bits, bitorder="little").view("<u8").reshape(count, -1).T)
+    return np.stack(planes) if q > 2 else planes[0][None]  # one plane: no copy
 
 
 def _differ(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -398,6 +409,8 @@ def _first_bad_tuple(
     def extend(prefix: list[int], cand: list[int]) -> Optional[BadnessCertificate]:
         # ``cand``: ascending rows after the prefix that pass every test with it.
         nonlocal tested
+        if len(prefix) == DEPTH_BUDGET:
+            raise BudgetError(f"more than {DEPTH_BUDGET} rows in a search tuple")
         need = L - len(prefix)
         if need == 1:
             return next(filter(None, (is_bad_tuple(arr[prefix + [c]], p, ell, q) for c in cand)),
@@ -443,7 +456,7 @@ def contains_bad_matrix(
     counts as tested when the count test checks its last row against a
     surviving prefix of L-1 rows, whether or not the DP then runs on it;
     for every ell, BudgetError is raised once more than ``max_subsets``
-    are tested, or once the pair tables run more than PAIR_BUDGET pair tests.
+    are tested, or once PAIR_BUDGET, STATE_BUDGET or DEPTH_BUDGET is passed.
     """
     _check_search(p, ell, L, q)
     cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q, max_subsets)
@@ -455,18 +468,18 @@ def contains_bad_matrix(
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else CODE_THRESH_THREADS, else CPUs."""
-    if explicit is not None:
-        if not isinstance(explicit, int) or explicit < 1:
-            raise ValidationError(f"workers must be an integer >= 1, got {explicit!r}")
-        return explicit
-    env = os.environ.get("CODE_THRESH_THREADS")
-    if env:
+    """Worker count, an integer >= 1: explicit argument, else CODE_THRESH_THREADS, else CPUs."""
+    count = explicit
+    if count is None and (env := os.environ.get("CODE_THRESH_THREADS")):
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError as exc:
             raise ValidationError(f"CODE_THRESH_THREADS must be an integer: {env!r}") from exc
-    return os.cpu_count() or 1
+    if count is None:
+        return os.cpu_count() or 1
+    if not isinstance(count, int) or count < 1:
+        raise ValidationError(f"workers must be an integer >= 1, got {count!r}")
+    return count
 
 
 def _run_block(args) -> int:
@@ -526,7 +539,7 @@ def empirical_threshold_sweep(
         _expected_size(n, rate, q)
     if trials * len(points) > TRIAL_BUDGET:
         raise BudgetError(f"{trials} trials x {len(points)} points exceed the cap {TRIAL_BUDGET}")
-    nworkers = resolve_workers(workers)
+    nworkers = min(resolve_workers(workers), os.cpu_count() or 1)  # no more processes than CPUs
 
     t0 = time.perf_counter()
     # One pool, largest expected code q^{n*rate} first (Graham's LPT rule).

@@ -97,7 +97,7 @@ def verification_report(quick: bool = False) -> list[dict[str, Any]]:
         _check_level_counts(quick),
         _check_oracle("solver_vs_enclosure", lambda p, pr: float(sum(beta_enclosure(p, pr)) / 2),
                       _solver_grid(4 if quick else 6, step), 1e-8),
-        _check_oracle("solver_vs_ascent_oracle", lambda p, pr: beta_ascent_oracle(p, pr, starts=5),
+        _check_oracle("solver_vs_ascent_oracle", beta_ascent_oracle,
                       _solver_grid(3 if quick else 6, step), 1e-4),
         _check_dp_vs_brute(quick),
     ]

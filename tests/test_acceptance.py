@@ -115,7 +115,7 @@ def test_criterion_04_oracle_equivalence(capfd):
         )
         worst_bound = max(worst_bound, res.error_bound)
         worst_ascent = max(
-            worst_ascent, abs(exact - beta_ascent_oracle(p, profile, starts=5))
+            worst_ascent, abs(exact - beta_ascent_oracle(p, profile))
         )
     ok = worst_enclosure <= 1e-12 and worst_bound <= 1e-9 and worst_ascent <= 1e-4
     _report(capfd, 4, ok, f"{len(grid)} points: bisection outside the proven enclosure by "

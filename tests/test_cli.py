@@ -7,9 +7,11 @@ import csv
 import enum
 import gc
 import io
+import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import types
@@ -32,6 +34,18 @@ def _capture(capsys, argv):
 
 def _strip_timing(text: str) -> str:
     return re.sub(r'"elapsed_(ms|s)": [0-9.e+-]+,?\n', "", text)
+
+
+def _child(args, timeout, **kwargs):
+    """Run the interpreter on args in a child: one worker and 3 GB of address space."""
+    src = os.path.dirname(os.path.dirname(codethresh.__file__))
+    env = dict(os.environ, CODE_THRESH_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
+        **kwargs,
+    )
 
 
 def test_threshold_json_envelope(capsys):
@@ -311,6 +325,71 @@ def test_codes_past_the_pair_budget_exit_promptly():
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("budget exceeded:")
+
+
+@pytest.mark.parametrize(
+    "search",
+    ["--L 14 --n 30 --rates 0.3 --seed 0", "--L 300 --n 30 --rates 0.3 --seed 1",
+     "--L 300 --n 30 --rates 0.3 --seed 0", "--L 1100 --n 24 --rates 0.5 --seed 1"],
+)
+def test_dense_searches_exit_within_their_budgets(search):
+    # At p = 0.5 every pair of words passes the count test.  The badness DP's states
+    # (L = 14), or the search's depth (L = 300 and 1100), grew until memory or the
+    # stack ran out; the child's 3 GB of address space keeps the machine's memory safe.
+    proc = _child(["-m", "codethresh.cli", "simulate", "--q", "2", "--ell", "1", "--p", "0.5",
+                   "--trials", "1", *search.split()], timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("budget exceeded:")
+
+
+# Each option of each command, one at a time, takes each of these values.
+_FUZZ_VALUES = ["0", "1", "-1", "2", "0.5", "2.5", "-0", "1e-320", "1e308", "nan", "inf", "300",
+                "99999999999999999999", "abc", ""]
+_FUZZ_BASES = [
+    ("threshold", {"--p": "0.1", "--ell": "1", "--L": "3", "--q": "2", "--eps": "1e-6"}),
+    ("sweep", {"--ell": "1", "--L": "3", "--q": "2",
+               "--p-min": "0.05", "--p-max": "0.2", "--p-step": "0.05"}),
+    ("levelsets", {"--ell": "1", "--L": "3", "--q": "2"}),
+    *(("simulate", {"--p": p, "--ell": "1", "--L": "3", "--q": "2", "--n": n, "--rates": "0.3",
+                    "--trials": "2", "--seed": "0"}) for p, n in (("0.1", "12"), ("0.5", "30"))),
+    ("rlc", {"--p-min": "0.05", "--p-max": "0.2", "--p-step": "0.05"}),
+    ("toy", {"--p-min": "0.05", "--p-max": "0.2", "--p-step": "0.05"}),
+]
+
+# Runs each argv of stdin through cli.run, 10 s each, and prints [argv, exit code, stderr].
+_FUZZ_CHILD = """
+import contextlib, io, json, signal, sys
+from codethresh.cli import run
+
+class TimedOut(BaseException):
+    pass
+
+def time_out(*_):
+    raise TimedOut
+
+signal.signal(signal.SIGALRM, time_out)
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    signal.alarm(10)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+    except BaseException as exc:  # the alarm, or an exception the command let through
+        code = repr(exc)
+    finally:
+        signal.alarm(0)
+    print(json.dumps([argv, code, err.getvalue()]), flush=True)
+"""
+
+
+def test_every_option_value_exits_0_1_or_2_without_a_traceback():
+    calls = [[command, *itertools.chain.from_iterable({**base, option: value}.items())]
+             for command, base in _FUZZ_BASES for option in base for value in _FUZZ_VALUES]
+    proc = _child(["-c", _FUZZ_CHILD], timeout=300, input=json.dumps(calls))
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert proc.returncode == 0 and len(results) == len(calls) == 540
+    assert [(argv, code) for argv, code, err in results
+            if code not in (0, 1, 2) or "Traceback" in err] == []
 
 
 def test_simulate_million_symbol_words_exit_0(capsys):

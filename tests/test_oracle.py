@@ -69,7 +69,7 @@ def test_ascent_oracle_matches_bisection():
     for p, ell, L, q in [(0.1, 1, 3, 2), (0.16, 1, 3, 3), (0.05, 2, 3, 4)]:
         profile = level_profile(LevelSetParams(q, ell, L))
         exact = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9)).beta
-        approx = beta_ascent_oracle(p, profile, starts=5)
+        approx = beta_ascent_oracle(p, profile)
         assert approx == pytest.approx(exact, abs=1e-9)
 
 
@@ -78,7 +78,7 @@ def test_ascent_oracle_handles_binding_constraint():
     # needs mean-preserving moves to be reached
     profile = level_profile(LevelSetParams(3, 1, 3))
     exact = threshold_rate(ThresholdQuery(0.16, 1, 3, 3, epsilon=1e-12)).beta
-    assert beta_ascent_oracle(0.16, profile, starts=5) == pytest.approx(exact, abs=1e-10)
+    assert beta_ascent_oracle(0.16, profile) == pytest.approx(exact, abs=1e-10)
 
 
 def test_brute_force_badness_examples():

@@ -2,59 +2,64 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codethresh.errors import DomainError, ValidationError
-from codethresh.rlc import (
-    BinaryDistribution3,
-    implied_distribution,
-    implied_type_scan,
-    rlc_list_of_two_threshold,
-)
+from codethresh.oracle import implied_distribution
+from codethresh.qmath import entropy_q
+from codethresh.rlc import implied_type_scan, rlc_list_of_two_threshold
 from codethresh.solver import list_of_two_rc_threshold
 
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _limit_tau(p):
+    """Mass (1-3p)/2 on 000 and 111, p/2 on the six mixed vectors."""
+    tau = [p / 2.0] * 8
+    tau[0] = tau[7] = (1.0 - 3.0 * p) / 2.0
+    return tuple(tau)
+
+
 def test_distribution_validation():
-    with pytest.raises(ValidationError):
-        BinaryDistribution3((0.5,) * 8)  # mass 4
-    with pytest.raises(ValidationError):
-        BinaryDistribution3((1.5, -0.5) + (0.0,) * 6)
-    ok = BinaryDistribution3((0.125,) * 8)
-    assert sum(ok.probs) == pytest.approx(1.0, abs=1e-12)
+    for tau in ((0.5,) * 8, (1.5, -0.5) + (0.0,) * 6, (0.125,) * 7):  # mass 4, negative, 7 entries
+        with pytest.raises(ValidationError):
+            implied_distribution(tau, IDENTITY)
+    ok = implied_distribution((0.125,) * 8, IDENTITY)
+    assert sum(ok) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distribution_rejects_nan():
     with pytest.raises(ValidationError):
-        BinaryDistribution3((math.nan,) * 8)
+        implied_distribution((math.nan,) * 8, IDENTITY)
 
 
 def test_limit_distribution_shape():
-    rho = BinaryDistribution3.limit_for_noise(0.1)
-    assert rho.probs[0b000] == pytest.approx(0.35, abs=1e-15)
-    assert rho.probs[0b111] == pytest.approx(0.35, abs=1e-15)
-    for u in (0b001, 0b010, 0b011, 0b100, 0b101, 0b110):
-        assert rho.probs[u] == pytest.approx(0.05, abs=1e-15)
-    for bad in (0.0, 1 / 3, 0.4):
+    # The scan's trivial kernel keeps tau itself: 0.35 on 000 and 111, 0.05 elsewhere.
+    by_label = {e.map_label: e for e in implied_type_scan(0.1).entries}
+    assert by_label["ker{000}"].entropy == pytest.approx(
+        entropy_q([0.35, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.35], 2), abs=1e-15
+    )
+    for bad in (0.0, 0.25, 0.4):
         with pytest.raises(DomainError):
-            BinaryDistribution3.limit_for_noise(bad)
+            implied_type_scan(bad)
 
 
 def test_pushforward_preserves_mass_and_identity():
-    rho = BinaryDistribution3.limit_for_noise(0.1)
+    rho = _limit_tau(0.1)
     dist = implied_distribution(rho, IDENTITY)
     assert sum(dist) == pytest.approx(1.0, abs=1e-12)
-    assert list(dist) == pytest.approx(list(rho.probs), abs=1e-15)
+    assert list(dist) == pytest.approx(list(rho), abs=1e-15)
 
 
 def test_pushforward_merges_kernel_cosets():
-    rho = BinaryDistribution3.limit_for_noise(0.1)
+    rho = _limit_tau(0.1)
     # rows (1,0,0), (0,1,0): kernel {000, 001}; images collapse bit pairs
     dist = implied_distribution(rho, ((1, 0, 0), (0, 1, 0)))
     assert len(dist) == 4
@@ -66,13 +71,10 @@ def test_pushforward_merges_kernel_cosets():
 
 def test_pushforward_rejects_rank_deficient_maps():
     with pytest.raises(ValidationError):
-        implied_distribution(
-            BinaryDistribution3.limit_for_noise(0.1),
-            ((1, 0, 0), (1, 0, 0)),
-        )
+        implied_distribution(_limit_tau(0.1), ((1, 0, 0), (1, 0, 0)))
     with pytest.raises(ValidationError):
         implied_distribution(
-            BinaryDistribution3.limit_for_noise(0.1),
+            _limit_tau(0.1),
             ((1, 1, 0), (0, 1, 1), (1, 0, 1)),  # rows sum to zero
         )
 
@@ -80,11 +82,9 @@ def test_pushforward_rejects_rank_deficient_maps():
 @given(st.floats(min_value=0.01, max_value=0.24))
 @settings(max_examples=100, deadline=None)
 def test_pushforward_is_linear_in_the_distribution(p):
-    rho = BinaryDistribution3.limit_for_noise(p)
-    uniform = BinaryDistribution3((0.125,) * 8)
-    mixed = BinaryDistribution3(
-        tuple(0.5 * a + 0.5 * b for a, b in zip(rho.probs, uniform.probs))
-    )
+    rho = _limit_tau(p)
+    uniform = (0.125,) * 8
+    mixed = tuple(0.5 * a + 0.5 * b for a, b in zip(rho, uniform))
     rows = ((1, 0, 0), (0, 1, 1))
     lhs = implied_distribution(mixed, rows)
     a = implied_distribution(rho, rows)
@@ -148,20 +148,19 @@ def test_linear_beats_plain_random():
 
 
 def test_entropy_depends_only_on_kernel():
-    rho = BinaryDistribution3.limit_for_noise(0.17)
-    results = {}
-    for rows in itertools.product(range(1, 8), repeat=2):
-        if len({rows[0], rows[1], rows[0] ^ rows[1]}) != 3 or rows[0] == rows[1]:
-            continue
-        bits = tuple(tuple((r >> (2 - j)) & 1 for j in range(3)) for r in rows)
-        try:
-            dist = implied_distribution(rho, bits)
-        except ValidationError:
-            continue
-        kernel = frozenset(
-            u for u in range(8)
-            if all(bin(r & u).count("1") % 2 == 0 for r in rows)
-        )
-        ent = -sum(x * math.log2(x) for x in dist if x > 0.0)
-        results.setdefault(kernel, ent)
-        assert ent == pytest.approx(results[kernel], abs=1e-12)
+    # Every full-rank map F_2^3 -> F_2^m, m = 1, 2, 3 (7 + 42 + 168 maps), pushes tau
+    # forward to the entropy, ratio and dimension of its kernel's scan entry, exactly.
+    rows = range(1, 8)
+    maps = [a for m in (1, 2, 3) for a in itertools.permutations(rows, m)
+            if len({0, *(functools.reduce(operator.xor, s) for k in range(1, m + 1)
+                         for s in itertools.combinations(a, k))}) == 1 << m]
+    assert len(maps) == 217
+    for p in (0.01, 0.05, 0.1, 0.17, 0.2, 0.249):
+        scan = {e.map_label: e for e in implied_type_scan(p).entries}
+        for a in maps:
+            bits = tuple(tuple((r >> (2 - j)) & 1 for j in range(3)) for r in a)
+            kernel = [u for u in range(8) if all(bin(r & u).count("1") % 2 == 0 for r in a)]
+            entry = scan["ker{" + ",".join(format(u, "03b") for u in kernel) + "}"]
+            entropy = entropy_q(implied_distribution(_limit_tau(p), bits), 2)
+            assert (entropy, entropy / len(a), len(a)) == (
+                entry.entropy, entry.ratio, entry.dimension), (p, a)

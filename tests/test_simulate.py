@@ -7,6 +7,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -580,6 +582,10 @@ def test_resolve_workers_env_override(monkeypatch):
     monkeypatch.setenv("CODE_THRESH_THREADS", "zero?")
     with pytest.raises(ValidationError):
         resolve_workers()
+    for count in ("0", "-3"):  # the check that refuses workers=0 and -3
+        monkeypatch.setenv("CODE_THRESH_THREADS", count)
+        with pytest.raises(ValidationError):
+            resolve_workers()
     monkeypatch.delenv("CODE_THRESH_THREADS")
     assert resolve_workers() >= 1
 
@@ -824,6 +830,80 @@ def test_pair_budget_charges_the_pair_tests_run(monkeypatch):
     monkeypatch.setattr(simulate, "PAIR_BUDGET", 11)
     with pytest.raises(BudgetError, match="more than 11 pair tests"):
         contains_bad_matrix(words[:4], p=0.0, ell=1, L=2, q=4)
+
+
+def test_badness_dp_charges_the_states_it_keeps(monkeypatch):
+    from codethresh import simulate
+
+    # Two columns apart at both coordinates keep {01, 10}, then {02, 11, 20}:
+    # 2 + 3 states of L = 2 entries.
+    cols = ((0, 0), (1, 1))
+    monkeypatch.setattr(simulate, "STATE_BUDGET", 10)
+    assert is_bad_tuple(cols, p=1.0, ell=1, q=2).violation_counts == (0, 2)
+    monkeypatch.setattr(simulate, "STATE_BUDGET", 9)
+    with pytest.raises(BudgetError, match="more than 9 badness DP state entries"):
+        is_bad_tuple(cols, p=1.0, ell=1, q=2)
+
+
+def test_depth_budget_charges_the_tuples_the_search_builds(monkeypatch):
+    from codethresh import simulate
+
+    words = [[a, b] for a in (0, 1) for b in (0, 1)]
+    monkeypatch.setattr(simulate, "DEPTH_BUDGET", 2)
+    assert contains_bad_matrix(words, p=1.0, ell=1, L=2, q=2)[0]
+    # At p = 0 no pair passes, so the search never builds a tuple of 3 rows.
+    assert contains_bad_matrix(words, p=0.0, ell=1, L=3, q=2) == (False, None)
+    with pytest.raises(BudgetError, match="more than 2 rows in a search tuple"):
+        contains_bad_matrix(words, p=1.0, ell=1, L=3, q=2)
+    monkeypatch.setattr(simulate, "DEPTH_BUDGET", 3)
+    assert contains_bad_matrix(words, p=1.0, ell=1, L=3, q=2)[0]
+
+
+def test_bit_planes_stage_one_plane_at_a_time():
+    # q = 300 takes 9 planes of >u8 symbols; a byte-per-bit staging array of all
+    # planes at once would need more than 4x the planes and the input together.
+    arr = np.random.default_rng(3).integers(0, 300, size=(20_000, 8)).astype(">u8")
+    tracemalloc.start()
+    try:
+        planes = _bit_planes(arr, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (planes.nbytes + arr.nbytes)
+    assert planes.shape == (9, 1, 20_000) and planes.flags.c_contiguous
+    for k, plane in enumerate(planes):
+        bits = np.unpackbits(plane[0].astype("<u8").view(np.uint8).reshape(-1, 8),
+                             axis=-1, bitorder="little")
+        assert (bits[:, 8:] == 0).all() and (bits[:, :8] == arr >> k & 1).all()
+
+
+def test_sweep_clamps_the_worker_count_to_the_cpus(monkeypatch):
+    # A process pool starts all its workers at the first submit.  This stand-in
+    # records the count and maps in-process, so nothing forks.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    kwargs = dict(n_list=[8, 10], rate_grid=[0.2, 0.5], trials=4,
+                  p=0.1, ell=1, L=3, q=2, base_seed=5)
+    serial = empirical_threshold_sweep(workers=1, **kwargs)
+    assert empirical_threshold_sweep(workers=10**6, **kwargs).rows == serial.rows
+    monkeypatch.setenv("CODE_THRESH_THREADS", str(10**6))
+    assert empirical_threshold_sweep(**kwargs).rows == serial.rows
+    assert started == [2, 2]
 
 
 @pytest.mark.parametrize(
