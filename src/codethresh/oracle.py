@@ -7,9 +7,8 @@ solver.  Four references are provided:
 * beta as a constrained maximization over level-space distributions mu
   (mass on penalty levels d), maximizing
       F(mu) = H_q(mu) + sum_d mu[d] log_q |D_d|
-  subject to sum_d d mu[d] <= pL, either enclosed from the exact counts in
-  a proven decimal interval or, fully shape-agnostic, by projected
-  pairwise coordinate ascent from random simplex starts;
+  subject to sum_d d mu[d] <= pL, enclosed from the exact counts in a
+  proven decimal interval;
 * level-set counts by direct bucketing of all q^L vectors, and by
   weighting every composition of L into q parts with its multinomial;
 * badness of a column tuple by exhausting every K-set assignment;
@@ -19,6 +18,7 @@ solver.  Four references are provided:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from decimal import Context, Decimal, localcontext
@@ -33,23 +33,11 @@ from .qmath import multinomial_exact
 
 __all__ = [
     "beta_enclosure",
-    "beta_ascent_oracle",
     "brute_force_badness",
     "brute_force_level_counts",
     "composition_level_counts",
     "implied_distribution",
 ]
-
-
-def _finite_levels(profile: LevelProfile) -> tuple[np.ndarray, np.ndarray]:
-    levels = [d for d, lc in enumerate(profile.log_counts) if lc != -math.inf]
-    lcs = [profile.log_counts[d] for d in levels]
-    return np.array(levels, dtype=float), np.array(lcs, dtype=float)
-
-
-def _objective(mu: np.ndarray, d: np.ndarray, lc: np.ndarray, q: int) -> float:
-    ent = -float(np.sum(np.where(mu > 0.0, mu * np.log(np.maximum(mu, 1e-300)), 0.0)))
-    return ent / math.log(q) + float(mu @ lc)
 
 
 def beta_enclosure(p: float, profile: LevelProfile) -> tuple[Decimal, Decimal]:
@@ -96,129 +84,6 @@ def beta_enclosure(p: float, profile: LevelProfile) -> tuple[Decimal, Decimal]:
         return lo / ln_q - slack, hi + slack
 
 
-def beta_ascent_oracle(p: float, profile: LevelProfile) -> float:
-    """Maximize F(mu) by projected pairwise coordinate ascent.
-
-    Makes no use of the exponential-family shape: 5 random feasible simplex
-    points (seed 0) are improved by exact line searches along mass transfers
-    between level pairs, plus mean-preserving transfers among level
-    triples (needed once the mean constraint binds, where no pair move
-    can slide along the constraint), for at most 500 sweeps each.  Intended
-    for the smallest profiles (L <= 3), where the landscape is low-dimensional.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValidationError(f"p must lie in [0, 1), got {p}")
-    q, L = profile.params.q, profile.params.L
-    d, lc = _finite_levels(profile)
-    pL = p * L
-    k = d.size
-    if k == 1:
-        return float(lc[0])
-    weights = np.power(float(q), lc - lc.max())  # relative |D_d|, overflow-safe
-    rng = np.random.default_rng(0)
-
-    best = float(lc[0])
-    for _ in range(5):
-        mu = rng.dirichlet(np.ones(k))
-        mean = float(d @ mu)
-        if mean > pL:
-            # Mix toward the point mass on level 0 until the constraint binds.
-            lam = pL / mean
-            mu = lam * mu
-            mu[0] += 1.0 - lam
-            mean = float(d @ mu)
-        value = _objective(mu, d, lc, q)
-        for _ in range(500):
-            improved = 0.0
-            for i in range(k):
-                for j in range(i + 1, k):
-                    # Transfer t from level j to level i; the objective along
-                    # the segment is strictly concave with interior optimum at
-                    # (mu_i + t)/(mu_j - t) = |D_i|/|D_j|.
-                    wi, wj = weights[i], weights[j]
-                    t = (wi * mu[j] - wj * mu[i]) / (wi + wj)
-                    t_lo, t_hi = -mu[i], mu[j]
-                    if d[i] != d[j]:
-                        slack = (pL - mean) / (d[i] - d[j])
-                        if d[i] > d[j]:
-                            t_hi = min(t_hi, slack)
-                        else:
-                            t_lo = max(t_lo, slack)
-                    t = min(max(t, t_lo), t_hi)
-                    if t == 0.0:
-                        continue
-                    mu[i] += t
-                    mu[j] -= t
-                    mean += t * (d[i] - d[j])
-                    new_value = _objective(mu, d, lc, q)
-                    improved += max(0.0, new_value - value)
-                    value = new_value
-            for trip in itertools.combinations(range(k), 3):
-                t = _triple_transfer(mu, trip, d, lc, q)
-                if t == 0.0:
-                    continue
-                new_value = _objective(mu, d, lc, q)
-                improved += max(0.0, new_value - value)
-                value = new_value
-            if improved < 1e-13:
-                break
-        best = max(best, value)
-    return best
-
-
-def _triple_transfer(
-    mu: np.ndarray, trip: tuple[int, int, int], d: np.ndarray, lc: np.ndarray, q: int
-) -> float:
-    """Best mean-preserving move among three levels, applied in place.
-
-    The direction v = (d_k - d_j, d_i - d_k, d_j - d_i) on (i, j, k) has
-    sum 0 and d @ v = 0, so it keeps both constraints; the objective is
-    strictly concave along it and the optimum is found by bisecting the
-    derivative.  Returns the step taken (0.0 when no move is possible).
-    """
-    i, j, k = trip
-    v = np.array([d[k] - d[j], d[i] - d[k], d[j] - d[i]])
-    if not v.any():
-        return 0.0
-    part = np.array([mu[i], mu[j], mu[k]])
-    t_lo, t_hi = -math.inf, math.inf
-    for m in range(3):
-        if v[m] > 0:
-            t_lo = max(t_lo, -part[m] / v[m])
-        elif v[m] < 0:
-            t_hi = min(t_hi, part[m] / -v[m])
-    if not t_lo < t_hi:
-        return 0.0
-    lcs = np.array([lc[i], lc[j], lc[k]])
-
-    def slope(t: float) -> float:
-        x = np.maximum(part + t * v, 1e-300)
-        return float(v @ lcs - (v @ np.log(x)) / math.log(q))
-
-    if slope(t_lo) <= 0.0:
-        t = t_lo
-    elif slope(t_hi) >= 0.0:
-        t = t_hi
-    else:
-        lo, hi = t_lo, t_hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
-    if t == 0.0:
-        return 0.0
-    before = _objective(mu, d, lc, q)
-    moved = np.maximum(part + t * v, 0.0)
-    mu[i], mu[j], mu[k] = moved
-    if _objective(mu, d, lc, q) <= before:
-        mu[i], mu[j], mu[k] = part
-        return 0.0
-    return t
-
-
 def brute_force_badness(
     columns: Sequence[Sequence[int]], p: float, ell: int, q: int
 ) -> bool:
@@ -245,12 +110,13 @@ def brute_force_badness(
     return False
 
 
-def brute_force_level_counts(params: LevelSetParams) -> tuple[int, ...]:
-    """Level-set counts by bucketing every vector of Sigma^L directly."""
-    q, ell, L = params.q, params.ell, params.L
+@functools.lru_cache(maxsize=1)
+def _sorted_histograms(q: int, L: int) -> np.ndarray:
+    """Symbol histograms of every vector of Sigma^L, each sorted ascending.
+
+    Shared by every ell at one (q, L), so the table is read-only.
+    """
     space = q**L
-    if space > 10**7:
-        raise BudgetError(f"q^L = {space} is too large to enumerate directly")
     idx = np.arange(space)
     digits = np.empty((space, L), dtype=np.int16)
     for pos in range(L - 1, -1, -1):
@@ -259,7 +125,17 @@ def brute_force_level_counts(params: LevelSetParams) -> tuple[int, ...]:
     for s in range(q):
         freq[:, s] = (digits == s).sum(axis=1)
     freq.sort(axis=1)
-    top = freq[:, q - ell :].sum(axis=1)
+    freq.flags.writeable = False
+    return freq
+
+
+def brute_force_level_counts(params: LevelSetParams) -> tuple[int, ...]:
+    """Level-set counts by bucketing every vector of Sigma^L directly."""
+    q, ell, L = params.q, params.ell, params.L
+    space = q**L
+    if space > 10**7:
+        raise BudgetError(f"q^L = {space} is too large to enumerate directly")
+    top = _sorted_histograms(q, L)[:, q - ell :].sum(axis=1)
     d = L - top
     hist = np.bincount(d, minlength=L + 1)
     return tuple(int(x) for x in hist)

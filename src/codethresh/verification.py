@@ -2,24 +2,20 @@
 
 Each check returns a dict row {check, status, observed, bound}; the CLI
 renders these and fails with exit code 1 if any status is not PASS.
-The solver's beta must lie within 1e-8 of the enclosure's midpoint (eps 1e-9,
-L <= 6) and 1e-4 of the ascent oracle.  The grids mirror the acceptance tests
+The solver's claim (eps 1e-9, L <= 6) is checked against the proven beta
+enclosure as in acceptance criterion 4.  The grids mirror the acceptance tests
 but are trimmed so a full run stays in the one-minute range (quick=True: smoke).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from decimal import Decimal
+from typing import Any
 
 import numpy as np
 
 from .levels import LevelSetParams, level_profile
-from .oracle import (
-    beta_ascent_oracle,
-    beta_enclosure,
-    brute_force_badness,
-    brute_force_level_counts,
-)
+from .oracle import beta_enclosure, brute_force_badness, brute_force_level_counts
 from .simulate import is_bad_tuple
 from .solver import ThresholdQuery, threshold_rate
 
@@ -40,15 +36,22 @@ def _solver_grid(max_L: int, p_step: float) -> list[tuple[float, int, int, int]]
     return points
 
 
-def _check_oracle(name: str, oracle: Callable, grid: list, bound: float) -> dict[str, Any]:
-    """Worst |beta| gap between the solver and ``oracle(p, profile)``."""
-    worst = 0.0
+def _check_enclosure(grid: list) -> dict[str, Any]:
+    """Worst violation of lo <= beta and beta - L * error_bound <= hi.
+
+    The check also fails if any error_bound exceeds 1e-9 or any enclosure
+    is wider than 1e-40, so neither side of the claim can go slack.
+    """
+    worst, tight = 0.0, True
     for p, ell, L, q in grid:
-        profile = level_profile(LevelSetParams(q, ell, L))
-        exact = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9)).beta
-        worst = max(worst, abs(exact - oracle(p, profile)))
-    status = "PASS" if worst <= bound else "FAIL"
-    return {"check": name, "status": status, "observed": worst, "bound": bound}
+        res = threshold_rate(ThresholdQuery(p, ell, L, q, epsilon=1e-9))
+        lo, hi = beta_enclosure(p, level_profile(LevelSetParams(q, ell, L)))
+        beta = Decimal(res.beta)
+        worst = max(worst, float(lo - beta), float(beta - L * Decimal(res.error_bound) - hi))
+        tight = tight and res.error_bound <= 1e-9 and hi - lo <= Decimal("1e-40")
+    status = "PASS" if worst <= 1e-12 and tight else "FAIL"
+    return {"check": "solver_vs_enclosure", "status": status,
+            "observed": worst, "bound": 1e-12}
 
 
 def _check_dp_vs_brute(quick: bool) -> dict[str, Any]:
@@ -95,9 +98,6 @@ def verification_report(quick: bool = False) -> list[dict[str, Any]]:
     step = 0.04 if quick else 0.02
     return [
         _check_level_counts(quick),
-        _check_oracle("solver_vs_enclosure", lambda p, pr: float(sum(beta_enclosure(p, pr)) / 2),
-                      _solver_grid(4 if quick else 6, step), 1e-8),
-        _check_oracle("solver_vs_ascent_oracle", beta_ascent_oracle,
-                      _solver_grid(3 if quick else 6, step), 1e-4),
+        _check_enclosure(_solver_grid(4 if quick else 6, step)),
         _check_dp_vs_brute(quick),
     ]

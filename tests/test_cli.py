@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import enum
 import gc
 import io
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codethresh
+import codethresh.solver
 from codethresh import cli
 from codethresh.cli import run
 
@@ -179,10 +181,31 @@ def test_verify_quick_passes(capsys):
     assert {r["check"] for r in rows} == {
         "level_counts_vs_enumeration",
         "solver_vs_enclosure",
-        "solver_vs_ascent_oracle",
         "dp_vs_brute_force",
     }
     assert all(r["status"] == "PASS" for r in rows)
+
+
+def test_verify_fails_on_a_miscounted_solver_profile(capsys, monkeypatch):
+    # One log-count off by 1e-3 in the profile the solver reads; the
+    # enclosure reads the exact counts, so its row must catch it.
+    real = codethresh.solver.level_profile
+
+    def skewed(params):
+        profile = real(params)
+        logs = list(profile.log_counts)
+        logs[1] += 1e-3
+        return dataclasses.replace(profile, log_counts=tuple(logs))
+
+    monkeypatch.setattr(codethresh.solver, "level_profile", skewed)
+    code, out, _ = _capture(capsys, ["verify", "--quick", "--format", "csv"])
+    status = {r["check"]: r["status"] for r in csv.DictReader(io.StringIO(out))}
+    assert code == 1
+    assert status == {
+        "level_counts_vs_enumeration": "PASS",
+        "solver_vs_enclosure": "FAIL",
+        "dp_vs_brute_force": "PASS",
+    }
 
 
 def test_levelsets_counts_too_long_to_print_exit_1(capsys):
