@@ -148,13 +148,20 @@ def composition_level_counts(params: LevelSetParams) -> tuple[int, ...]:
     L - (sum of the ell largest entries of eta).  Compositions are read off
     the q - 1 bar positions among L + q - 1 slots (stars and bars).
     """
-    q, ell, L = params.q, params.ell, params.L
-    counts = [0] * (L + 1)
+    return _composition_levels(params.q, params.L)[params.ell - 1]
+
+
+@functools.lru_cache(maxsize=1)
+def _composition_levels(q: int, L: int) -> tuple[tuple[int, ...], ...]:
+    """composition_level_counts for ell = 1..q, from one walk over the compositions."""
+    counts = [[0] * (L + 1) for _ in range(q)]
     for bars in itertools.combinations(range(L + q - 1), q - 1):
         edges = (-1, *bars, L + q - 1)
         eta = [b - a - 1 for a, b in zip(edges, edges[1:])]
-        counts[L - sum(sorted(eta, reverse=True)[:ell])] += multinomial_exact(L, eta)
-    return tuple(counts)
+        weight = multinomial_exact(L, eta)
+        for level, top in zip(counts, itertools.accumulate(sorted(eta, reverse=True))):
+            level[L - top] += weight
+    return tuple(map(tuple, counts))
 
 
 def _rank_gf2(vectors: Sequence[int]) -> int:

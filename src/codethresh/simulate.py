@@ -38,11 +38,16 @@ decides the L-tuples that pass.  The search returns at the first bad tuple.
 The tests run in one pair table per prefix P, not one array call per
 (prefix, row): for candidates w < x it says whether {S, w, x} passes for
 every (ell-1)-set S of P's rows, and the walk reads the candidates of
-P + [w] from row w.  Tables fill lazily, a chunk of rows at a time, each
-chunk one broadcast block over the later candidates: a popcount of the AND of
-the difference masks of every pair in {S, w, x}, those not of (w, x) built
-once per prefix.  So an early stop wastes little.
-Each chunk counts the candidates its rows keep, and the walk skips with no
+P + [w] from row w.  The children of a prefix of ell-2 rows (none at
+ell = 1) have one S each and suffixes of one candidate list as theirs, so
+their tables are slices of one table over (k, w, x): a leading axis of
+siblings fills several in one pass.  Tables fill lazily, a block of whole
+sibling tables or a chunk of one table's rows at a time, each block one
+broadcast over the later candidates: a popcount of the AND of the
+difference masks of every pair in {S, w, x}, those not of (w, x) built once
+per prefix or block.  So an early stop wastes little.  PAIR_BUDGET is
+charged for the masks and for each block before they are built.
+Each block counts the candidates its rows keep, and the walk skips with no
 call the rows left with too few for a full tuple.  A sweep sends its one
 worker pool blocks of trials, largest expected code first, and each worker
 seeds the trials it runs.
@@ -96,6 +101,11 @@ DEFAULT_SUBSET_CAP = 2_000_000
 
 # Bytes of candidate words behind one block of a search pair table.
 _TABLE_BYTES = 1 << 18
+
+# At most this many behind a block that sibling tables share.  Sharing saves
+# calls where small tables make fixed numpy costs dominate; a larger block saves
+# little time and raises the peak memory.
+_SHARED_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -241,8 +251,13 @@ def _coverage_patterns(
     dominate, so taking min(ell, #present) of the present symbols is
     exhaustive up to domination.  When fewer than ell symbols are present,
     K is padded to ell symbols with the smallest absent ones of 0..q-1.
+    BudgetError, before any is listed, when their count times the columns
+    passes STATE_BUDGET.
     """
     present = sorted(set(syms))
+    if (count := math.comb(len(present), min(ell, len(present)))) * len(syms) > STATE_BUDGET:
+        raise BudgetError(f"{count} coverage patterns of {len(syms)} columns pass "
+                          f"{STATE_BUDGET} badness DP state entries")
     absent = (s for s in range(q) if s not in present)
     pad = frozenset(itertools.islice(absent, max(0, ell - len(present))))
     return [
@@ -351,10 +366,12 @@ def _first_bad_tuple(
     """First bad L-tuple of rows in lexicographic index order, or None.
 
     Depth first over ascending prefixes; a prefix with at least ell-1 rows
-    and two or more to add gets a pair table (module docstring), whose
-    chunks hold about _TABLE_BYTES of candidate bit planes.  The DP decides
-    the L-tuples that pass; when L <= ell+1 the test is exact, and the DP
-    only writes the first one's certificate.
+    and two or more to add reads its rows from a pair table (module
+    docstring), and the children of a prefix of ell-2 rows read theirs from
+    one table with a leading axis of siblings.  Blocks hold about
+    _TABLE_BYTES of candidate bit planes, shared ones at most _SHARED_BYTES.
+    The DP decides the L-tuples that pass; when L <= ell+1 the test is
+    exact, and the DP only writes the first one's certificate.
     """
     if len(arr) < L:  # no L-tuple: nothing is tested, and no planes are built
         return None
@@ -363,39 +380,73 @@ def _first_bad_tuple(
     planes = _bit_planes(arr, q)
     compared = 0  # pair tests so far, as PAIR_BUDGET counts them
 
-    def pair_table(prefix: list[int], cand: list[int], least: int):
-        # (k, the candidates after cand[k] that pass every test with prefix + [cand[k]]),
-        # in order of k, for the rows k that keep at least ``least`` of them.
+    def pay(tests: int) -> None:
         nonlocal compared
+        compared += tests
+        if compared > PAIR_BUDGET:
+            raise BudgetError(f"more than {PAIR_BUDGET} pair tests of 64-bit plane words")
+
+    def masks(sets, count: int, block: np.ndarray) -> list[np.ndarray]:
+        # Per (ell-1)-set S of rows, as (b, W, K, 1) plane arrays (K > 1: a leading
+        # axis of sibling rows), where they differ pairwise and from each candidate
+        # in block.  ``count``: the sets, or the sibling rows, paid for first in
+        # pair tests times plane words.
+        pay(count * ((ell - 1) * block.shape[-1] + math.comb(ell - 1, 2)) * block[:, :, 0].size)
+        return [functools.reduce(operator.and_, itertools.starmap(_differ, itertools.chain(
+            ((r, block[:, :, None]) for r in rows), itertools.combinations(rows, 2))))
+            for rows in sets]
+
+    def pair_table(prefix: list[int], cand: list[int], least: int, siblings: bool = False):
+        # The pair table of prefix over cand or, with siblings, those of each
+        # prefix + [cand[s]] over cand[s + 1 :], in order.  Each is a list or an
+        # iterator of (k, the candidates after its k-th that pass every test with
+        # the prefix and it), for the rows k that keep at least ``least`` of them.
         index = np.array(cand)
         block = planes.take(index, axis=-1)
         column = block.nbytes // len(cand)
-        masks = []  # per (ell-1)-set S: where its rows differ pairwise and from each candidate
-        for s in itertools.combinations(prefix, ell - 1) if ell > 1 else ():
-            rows = [planes[:, :, a, None] for a in s]
-            pairs = itertools.chain(((r, block) for r in rows), itertools.combinations(rows, 2))
-            masks.append(functools.reduce(operator.and_, itertools.starmap(_differ, pairs)))
-        i0 = 0
-        while i0 < len(cand) - least:  # later rows have fewer candidates left
-            width = len(cand) - i0 - 1
-            i1 = min(len(cand), i0 + max(1, _TABLE_BYTES // (width * column)))
-            compared += (i1 - i0) * (2 * width - (i1 - i0) + 1) // 2 * (column // 8)
-            if compared > PAIR_BUDGET:
-                raise BudgetError(f"more than {PAIR_BUDGET} pair tests of 64-bit plane words")
+        first, tables = (1, len(cand) - least - 1) if siblings else (0, 1)
+
+        def run(ms: list[np.ndarray], s0: int, s1: int, i0: int, i1: int):
+            # The rows of tables s0:s1 among rows i0:i1 of cand, a list per table.
+            width, height = len(cand) - i0 - 1, i1 - i0
+            pay((s1 - s0) * height * (2 * width - height + 1) // 2 * (column // 8))
             apart = _differ(block[:, :, i0:i1, None], block[:, :, None, i0 + 1 :])
-            # At ell = 1 the pair's own mask; else one test per (ell-1)-set S of the prefix.
-            ok = _popcount(apart, n) <= limit if ell == 1 else functools.reduce(operator.and_, [
-                _popcount(apart & m[:, i0:i1, None] & m[:, None, i0 + 1 :], n) <= limit
-                for m in masks])
-            # Passing pairs in row-major order; keep those past each row's own column.
-            r, j = np.divmod(np.flatnonzero(ok), width)
-            keep = j >= r
+            # At ell = 1 the pair's own mask; else one test per (ell-1)-set S.
+            ok = _popcount(apart, n) <= limit if ell == 1 else functools.reduce(
+                operator.and_, [_popcount(apart[:, None] & m[:, :, i0:i1, None]
+                                          & m[:, :, None, i0 + 1 :], n) <= limit for m in ms])
+            # Passing pairs in row-major order; keep those past each row's own column
+            # (row t * height + r of a block of siblings is row r of its table t).
+            row, j = np.divmod(np.flatnonzero(ok), width)
+            keep = j >= (row % height if s1 - s0 > 1 else row)
             hits = index[i0 + 1 :][j[keep]].tolist()
-            ends = np.bincount(r[keep], minlength=i1 - i0).cumsum().tolist()
-            for k, (a, b) in enumerate(itertools.pairwise([0, *ends]), i0):
-                if b - a >= least:
-                    yield k, hits[a:b]
-            i0 = i1
+            ends = [0, *np.bincount(row[keep], minlength=ok.size // width).cumsum().tolist()]
+            # Table t of a block of siblings reads its rows from the t-th on.
+            return [[(k, hits[a:b]) for k, (a, b) in enumerate(itertools.pairwise(
+                ends[t * (height + 1) : (t + 1) * height + 1]), i0 - s0 - first) if b - a >= least]
+                for t in range(s1 - s0)]
+
+        def chunks(s: int, ms: list[np.ndarray]):
+            i0 = s + first
+            while i0 < len(cand) - least:  # later rows have fewer candidates left
+                width = len(cand) - i0 - 1
+                i1 = min(len(cand), i0 + max(1, _TABLE_BYTES // (width * column)))
+                yield from run(ms, s, s + 1, i0, i1)[0]
+                i0 = i1
+
+        ms = [] if siblings or ell == 1 else masks(
+            ([planes[:, :, a, None, None] for a in s] for s in itertools.combinations(prefix, ell - 1)),
+            math.comb(len(prefix), ell - 1), block)
+        s = 0
+        while s < tables:
+            i0 = s + first
+            whole = (len(cand) - i0) * (len(cand) - i0 - 1) * column  # one table at once
+            s1 = s + max(1, min(tables - s, min(_TABLE_BYTES, _SHARED_BYTES) // whole))
+            if siblings:
+                rows = [planes[:, :, a, None, None] for a in prefix] + [block[:, :, s:s1, None]]
+                ms = masks([rows], s1 - s, block)
+            yield from run(ms, s, s1, i0, len(cand)) if whole <= _TABLE_BYTES else [chunks(s, ms)]
+            s = s1
 
     tested = 0
 
@@ -406,8 +457,9 @@ def _first_bad_tuple(
             raise BudgetError(f"more than {max_subsets} candidate {L}-tuples tested")
         return total
 
-    def extend(prefix: list[int], cand: list[int]) -> Optional[BadnessCertificate]:
-        # ``cand``: ascending rows after the prefix that pass every test with it.
+    def extend(prefix: list[int], cand: list[int], rows=None) -> Optional[BadnessCertificate]:
+        # ``cand``: ascending rows after the prefix that pass every test with it;
+        # ``rows``: the prefix's table, when a sibling pass built it.
         nonlocal tested
         if len(prefix) == DEPTH_BUDGET:
             raise BudgetError(f"more than {DEPTH_BUDGET} rows in a search tuple")
@@ -415,15 +467,17 @@ def _first_bad_tuple(
         if need == 1:
             return next(filter(None, (is_bad_tuple(arr[prefix + [c]], p, ell, q) for c in cand)),
                         None)
-        if len(cand) >= need and len(prefix) >= ell - 1:
-            rows = pair_table(prefix, cand, need - 1)
-        else:  # each row leaves enough later ones for a full tuple
+        if rows is None and len(cand) >= need and len(prefix) >= ell - 1:
+            rows, = pair_table(prefix, cand, need - 1)
+        elif rows is None:  # each row leaves enough later ones for a full tuple
             rows = ((k, cand[k + 1 :]) for k in range(len(cand) - need + 1))
+        siblings = len(prefix) == ell - 2 and need > 2 and len(cand) >= need
+        tables = pair_table(prefix, cand, need - 2, True) if siblings else None
         start = tested
         for k, later in rows:
             if need == 2:
                 tested = charge(start, len(cand), k + 1)
-            cert = extend(prefix + [cand[k]], later)
+            cert = extend(prefix + [cand[k]], later, next(tables) if tables else None)
             if cert is not None:
                 return cert
         if need == 2:
@@ -452,7 +506,8 @@ def contains_bad_matrix(
     The code is an (M, n) array or a sequence of distinct words.  Tuples
     are tried in lexicographic order of row indices and the
     first bad one is returned, pruned by the (ell+1)-subset count test,
-    which runs in one lazily filled pair table per search prefix.  A tuple
+    which runs in one lazily filled pair table per search prefix, sibling
+    prefixes of ell-1 rows sharing one pass over their tables.  A tuple
     counts as tested when the count test checks its last row against a
     surviving prefix of L-1 rows, whether or not the DP then runs on it;
     for every ell, BudgetError is raised once more than ``max_subsets``

@@ -38,14 +38,14 @@ def _strip_timing(text: str) -> str:
     return re.sub(r'"elapsed_(ms|s)": [0-9.e+-]+,?\n', "", text)
 
 
-def _child(args, timeout, **kwargs):
-    """Run the interpreter on args in a child: one worker and 3 GB of address space."""
+def _child(args, timeout, space=3 << 30, **kwargs):
+    """Run the interpreter on args in a child: one worker and ``space`` bytes of address space."""
     src = os.path.dirname(os.path.dirname(codethresh.__file__))
     env = dict(os.environ, CODE_THRESH_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (space, space)),
         **kwargs,
     )
 
@@ -363,6 +363,29 @@ def test_dense_searches_exit_within_their_budgets(search):
                    "--trials", "1", *search.split()], timeout=30)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("budget exceeded:")
+
+
+def test_pair_table_masks_are_charged_before_they_are_built():
+    # At p = 1 every pair passes, so the prefix grows to 27 rows and its pair table
+    # would keep C(27, 13) masks; charged first, they exit 1 within seconds under 1 GB.
+    proc = _child(["-m", "codethresh.cli", "simulate", "--q", "28", "--ell", "14", "--L", "28",
+                   "--p", "1", "--n", "3", "--rates", "1", "--trials", "1", "--seed", "0"],
+                  timeout=10, space=1 << 30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("budget exceeded:")
+
+
+def test_coverage_patterns_are_counted_before_they_are_listed():
+    # 28 distinct symbols per coordinate at ell = 14 make C(28, 14) = 4e7 K-sets.
+    script = ("from codethresh.errors import BudgetError\n"
+              "from codethresh.simulate import is_bad_tuple\n"
+              "try:\n"
+              "    is_bad_tuple([[j, j, j] for j in range(28)], 1 / 3, 14, 28)\n"
+              "except BudgetError as exc:\n"
+              "    print(exc)\n")
+    proc = _child(["-c", script], timeout=10, space=1 << 30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "badness DP state entries" in proc.stdout
 
 
 # Each option of each command, one at a time, takes each of these values.

@@ -804,6 +804,88 @@ def test_search_runs_one_count_test_per_first_row(monkeypatch):
     assert 0 < len(calls) <= 9
 
 
+def test_tetracode_fills_its_first_table_level_in_one_block(monkeypatch):
+    # Its 7 sibling tables, one per first row, share one pass of the count test.
+    from codethresh import simulate
+
+    calls = []
+    real = simulate._popcount
+    monkeypatch.setattr(simulate, "_popcount", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert contains_bad_matrix(_tetracode(), p=0.0, ell=2, L=3, q=3) == (False, None)
+    assert len(calls) == 1
+
+
+def _tested_by_count_test(words, p, ell, L):
+    """Tuples a search counts as tested, from the count test alone.
+
+    Per ascending (L-2)-prefix whose (ell+1)-subsets all pass, C(c, 2) for the
+    c later rows x with which every (ell+1)-subset holding x passes.
+    """
+    limit = (ell + 1) * math.floor(p * len(words[0]))
+
+    def passes(rows, last):
+        return all(
+            sum(len(set(col)) == ell + 1 for col in zip(*(words[i] for i in (*sub, last)))) <= limit
+            for sub in itertools.combinations(rows, ell)
+        )
+
+    total = 0
+    for prefix in itertools.combinations(range(len(words)), L - 2):
+        if all(passes(prefix[:i], prefix[i]) for i in range(len(prefix))):
+            later = sum(passes(prefix, x) for x in range(prefix[-1] + 1, len(words)))
+            total += math.comb(later, 2)
+    return total
+
+
+def test_sibling_blocks_give_the_subset_scan_answers(monkeypatch):
+    # A table size that puts 2 sibling tables in the first block of each code
+    # (later, smaller tables fit more); answers and tuple counts are unchanged.
+    from codethresh import simulate
+
+    widths = []
+    real = simulate._popcount
+    monkeypatch.setattr(simulate, "_popcount",
+                        lambda m, n: widths.append(m.shape[1] if m.ndim == 4 else 1) or real(m, n))
+    totals = found = 0
+    for seed in range(6):
+        for n, rate, q, ell in ((10, 0.18, 4, 2), (10, 0.16, 5, 2), (16, 0.085, 6, 3)):
+            code = sample_random_code(RandomCodeSpec(n, rate, q, seed))
+            words = [tuple(w) for w in code.tolist()]
+            cand = len(words) - ell + 2  # rows after the first sibling level's prefix
+            whole = (cand - 1) * (cand - 2) * 8 * (q - 1).bit_length() * -(-n // 64)
+            monkeypatch.setattr(simulate, "_TABLE_BYTES", 5 * whole // 2)
+            for L in (ell + 1, ell + 2):
+                for p in (0.0, 0.1):
+                    widths.clear()
+                    cert = contains_bad_matrix(code, p=p, ell=ell, L=L, q=q)[1]
+                    assert cert == _first_bad_by_subset_scan(words, p, ell, L, q)
+                    assert widths and max(widths) >= 2
+                    found += cert is not None
+                    total = _tested_by_count_test(words, p, ell, L)
+                    if cert is None and total > 0:
+                        assert contains_bad_matrix(code, p, ell, L, q, max_subsets=total) == (
+                            False, None)
+                        with pytest.raises(BudgetError):
+                            contains_bad_matrix(code, p, ell, L, q, max_subsets=total - 1)
+                        totals += 1
+    assert found > 10 and totals > 10
+
+
+def test_ell_one_search_runs_as_many_count_tests_as_before(monkeypatch):
+    # ell = 1 has no prefix of ell - 2 rows, so no sibling pass: one table per
+    # prefix, and these codes of 259 and 541 words fill their root tables in chunks.
+    from codethresh import simulate
+
+    calls = []
+    real = simulate._popcount
+    monkeypatch.setattr(simulate, "_popcount", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for spec, p, L, count in ((RandomCodeSpec(20, 0.4, 2, 2), 0.1, 4, 21),
+                              (RandomCodeSpec(30, 0.3, 2, 0), 0.1, 3, 16)):
+        calls.clear()
+        assert contains_bad_matrix(sample_random_code(spec), p, 1, L, 2) == (False, None)
+        assert len(calls) == count
+
+
 def test_codes_shorter_than_L_build_no_bit_planes(monkeypatch):
     from codethresh import simulate
 
