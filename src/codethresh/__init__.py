@@ -8,24 +8,11 @@ empirically by Monte Carlo simulation of small random codes.
 """
 
 from .errors import BudgetError, DomainError, ValidationError
-from .levels import LevelProfile, LevelSetParams, level_profile, p_ell
-from .qmath import (
-    entropy_q,
-    kl_q,
-    multinomial_exact,
-    q_ary_entropy,
-)
-from .rlc import (
-    ImpliedTypeEntry,
-    ImpliedTypeScan,
-    implied_type_scan,
-    rlc_list_of_two_threshold,
-)
+from .levels import LevelSetParams, level_profile, p_ell
+from .qmath import entropy_q, kl_q, multinomial_exact, q_ary_entropy
+from .rlc import implied_type_scan, rlc_list_of_two_threshold
 from .simulate import (
-    BadnessCertificate,
     RandomCodeSpec,
-    SweepReport,
-    SweepRow,
     contains_bad_matrix,
     empirical_threshold_sweep,
     is_bad_tuple,
@@ -33,8 +20,6 @@ from .simulate import (
 )
 from .solver import (
     ThresholdQuery,
-    ThresholdResult,
-    ToyRates,
     kl_estimate,
     list_of_two_rc_threshold,
     perfect_hashing_threshold,
@@ -47,19 +32,11 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadnessCertificate",
     "BudgetError",
     "DomainError",
-    "ImpliedTypeEntry",
-    "ImpliedTypeScan",
-    "LevelProfile",
     "LevelSetParams",
     "RandomCodeSpec",
-    "SweepReport",
-    "SweepRow",
     "ThresholdQuery",
-    "ThresholdResult",
-    "ToyRates",
     "ValidationError",
     "contains_bad_matrix",
     "empirical_threshold_sweep",

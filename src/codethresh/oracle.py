@@ -155,11 +155,13 @@ def composition_level_counts(params: LevelSetParams) -> tuple[int, ...]:
 def _composition_levels(q: int, L: int) -> tuple[tuple[int, ...], ...]:
     """composition_level_counts for ell = 1..q, from one walk over the compositions."""
     counts = [[0] * (L + 1) for _ in range(q)]
+    weights: dict[tuple[int, ...], int] = {}  # multinomials by sorted histogram
     for bars in itertools.combinations(range(L + q - 1), q - 1):
         edges = (-1, *bars, L + q - 1)
-        eta = [b - a - 1 for a, b in zip(edges, edges[1:])]
-        weight = multinomial_exact(L, eta)
-        for level, top in zip(counts, itertools.accumulate(sorted(eta, reverse=True))):
+        eta = tuple(sorted((b - a - 1 for a, b in zip(edges, edges[1:])), reverse=True))
+        if (weight := weights.get(eta)) is None:
+            weight = weights[eta] = multinomial_exact(L, eta)
+        for level, top in zip(counts, itertools.accumulate(eta)):
             level[L - top] += weight
     return tuple(map(tuple, counts))
 

@@ -46,11 +46,12 @@ sibling tables or a chunk of one table's rows at a time, each block one
 broadcast over the later candidates: a popcount of the AND of the
 difference masks of every pair in {S, w, x}, those not of (w, x) built once
 per prefix or block.  So an early stop wastes little.  PAIR_BUDGET is
-charged for the masks and for each block before they are built.
-Each block counts the candidates its rows keep, and the walk skips with no
-call the rows left with too few for a full tuple.  A sweep sends its one
-worker pool blocks of trials, largest expected code first, and each worker
-seeds the trials it runs.
+charged for the masks and for each block before they are built.  Each block
+counts the candidates its rows keep, and the walk skips with no call the rows
+left with too few for a full tuple.  SUBSET_BUDGET, PAIR_BUDGET, STATE_BUDGET
+and DEPTH_BUDGET cap a search at run time.  A sweep sends its one pool of
+resolve_workers() workers blocks of trials, largest expected code first, and
+each worker seeds the trials it runs.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ STATE_BUDGET = 2**20
 #: Cap on the rows of the tuples a search builds, the depth of its recursion.
 DEPTH_BUDGET = 64
 
-#: Default cap on the number of candidate tuples checked per code.
-DEFAULT_SUBSET_CAP = 2_000_000
+#: Cap on the candidate tuples one search tests.
+SUBSET_BUDGET = 2_000_000
 
 # Bytes of candidate words behind one block of a search pair table.
 _TABLE_BYTES = 1 << 18
@@ -361,7 +362,7 @@ def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def _first_bad_tuple(
-    arr: np.ndarray, p: float, ell: int, L: int, q: int, max_subsets: int
+    arr: np.ndarray, p: float, ell: int, L: int, q: int
 ) -> Optional[BadnessCertificate]:
     """First bad L-tuple of rows in lexicographic index order, or None.
 
@@ -453,8 +454,8 @@ def _first_bad_tuple(
     def charge(start: int, c: int, done: int) -> int:
         # Last level: each of the first ``done`` of c candidates, skipped or not,
         # was tested against every later one.
-        if (total := start + done * (2 * c - done - 1) // 2) > max_subsets:
-            raise BudgetError(f"more than {max_subsets} candidate {L}-tuples tested")
+        if (total := start + done * (2 * c - done - 1) // 2) > SUBSET_BUDGET:
+            raise BudgetError(f"more than {SUBSET_BUDGET} candidate {L}-tuples tested")
         return total
 
     def extend(prefix: list[int], cand: list[int], rows=None) -> Optional[BadnessCertificate]:
@@ -494,12 +495,7 @@ def _check_search(p: float, ell: int, L: int, q: int) -> None:
 
 
 def contains_bad_matrix(
-    code: np.ndarray | Sequence[Sequence[int]],
-    p: float,
-    ell: int,
-    L: int,
-    q: int,
-    max_subsets: int = DEFAULT_SUBSET_CAP,
+    code: np.ndarray | Sequence[Sequence[int]], p: float, ell: int, L: int, q: int
 ) -> tuple[bool, Optional[BadnessCertificate]]:
     """Whether some L distinct codewords of the code form a bad tuple.
 
@@ -510,11 +506,11 @@ def contains_bad_matrix(
     prefixes of ell-1 rows sharing one pass over their tables.  A tuple
     counts as tested when the count test checks its last row against a
     surviving prefix of L-1 rows, whether or not the DP then runs on it;
-    for every ell, BudgetError is raised once more than ``max_subsets``
-    are tested, or once PAIR_BUDGET, STATE_BUDGET or DEPTH_BUDGET is passed.
+    for every ell, BudgetError is raised once SUBSET_BUDGET, PAIR_BUDGET,
+    STATE_BUDGET or DEPTH_BUDGET is passed.
     """
     _check_search(p, ell, L, q)
-    cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q, max_subsets)
+    cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q)
     return cert is not None, cert
 
 
@@ -522,27 +518,26 @@ def contains_bad_matrix(
 # Threshold sweep
 
 
-def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count, an integer >= 1: explicit argument, else CODE_THRESH_THREADS, else CPUs."""
-    count = explicit
-    if count is None and (env := os.environ.get("CODE_THRESH_THREADS")):
-        try:
-            count = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"CODE_THRESH_THREADS must be an integer: {env!r}") from exc
-    if count is None:
-        return os.cpu_count() or 1
-    if not isinstance(count, int) or count < 1:
-        raise ValidationError(f"workers must be an integer >= 1, got {count!r}")
-    return count
+def resolve_workers() -> int:
+    """Worker count: CODE_THRESH_THREADS, else the CPU count, and never more than the CPUs."""
+    cpus = os.cpu_count() or 1
+    if not (env := os.environ.get("CODE_THRESH_THREADS")):
+        return cpus
+    try:
+        count = int(env)
+    except ValueError as exc:
+        raise ValidationError(f"CODE_THRESH_THREADS must be an integer: {env!r}") from exc
+    if count < 1:
+        raise ValidationError(f"CODE_THRESH_THREADS must be >= 1, got {count}")
+    return min(count, cpus)
 
 
 def _run_block(args) -> int:
-    n, rate, q, p, ell, L, base_seed, first, stop, subset_cap = args
+    n, rate, q, p, ell, L, base_seed, first, stop = args
     found = 0
     for t in range(first, stop):
         code = sample_random_code(RandomCodeSpec(n, rate, q, trial_seed(base_seed, n, rate, t)))
-        found += contains_bad_matrix(code, p, ell, L, q, subset_cap)[0]
+        found += contains_bad_matrix(code, p, ell, L, q)[0]
     return found
 
 
@@ -566,16 +561,14 @@ def empirical_threshold_sweep(
     L: int,
     q: int,
     base_seed: int,
-    workers: Optional[int] = None,
-    max_subsets: int = DEFAULT_SUBSET_CAP,
 ) -> SweepReport:
     """Fraction of seeded random codes containing a bad matrix, per (n, rate).
 
     Invalid parameters, a base_seed outside [0, 2**64), no or repeated n, no rates
-    or rates outside [0, 1] or not strictly increasing, codes over SIZE_CAP and more
-    than TRIAL_BUDGET trials in all are refused before any seeding or sampling;
-    ``max_subsets`` caps the tuples tested per code at run time.  The pool runs about
-    16 blocks of trials per worker, largest n*rate first, and seeds each trial where
+    or rates outside [0, 1] or not strictly increasing, codes over SIZE_CAP, more
+    than TRIAL_BUDGET trials in all and a bad CODE_THRESH_THREADS are refused before
+    any seeding or sampling.  The pool of resolve_workers() processes runs about 16
+    blocks of trials per worker, largest n*rate first, and seeds each trial where
     it runs by trial_seed(base_seed, n, rate, trial): no worker count changes it.
     """
     if not isinstance(trials, int) or trials < 1:
@@ -594,12 +587,12 @@ def empirical_threshold_sweep(
         _expected_size(n, rate, q)
     if trials * len(points) > TRIAL_BUDGET:
         raise BudgetError(f"{trials} trials x {len(points)} points exceed the cap {TRIAL_BUDGET}")
-    nworkers = min(resolve_workers(workers), os.cpu_count() or 1)  # no more processes than CPUs
+    nworkers = resolve_workers()
 
     t0 = time.perf_counter()
     # One pool, largest expected code q^{n*rate} first (Graham's LPT rule).
     size = -(-trials * len(points) // (16 * nworkers))
-    tasks = sorted(((n, rate, q, p, ell, L, base_seed, t, min(t + size, trials), max_subsets)
+    tasks = sorted(((n, rate, q, p, ell, L, base_seed, t, min(t + size, trials))
                     for n, rate in points for t in range(0, trials, size)),
                    key=lambda task: -task[0] * task[1])
     if nworkers > 1:

@@ -196,7 +196,7 @@ def test_criterion_08_dp_brute_force_equivalence(capfd):
 def sharpness_sweep():
     return empirical_threshold_sweep(
         n_list=[30], rate_grid=MC_RATES, trials=200,
-        base_seed=MC_SEED, workers=1, **MC_PARAMS,
+        base_seed=MC_SEED, **MC_PARAMS,
     )
 
 
@@ -204,7 +204,7 @@ def sharpness_sweep():
 def trend_sweep():
     return empirical_threshold_sweep(
         n_list=[20, 30], rate_grid=MC_RATES, trials=400,
-        base_seed=MC_SEED + 1, workers=1, **MC_PARAMS,
+        base_seed=MC_SEED + 1, **MC_PARAMS,
     )
 
 

@@ -337,7 +337,7 @@ def test_code_size_past_a_float_exits_1(capsys):
 
 def test_codes_past_the_pair_budget_exit_promptly():
     # At p = 0 no two of the 2^18 binary words pass the count test, so the search's
-    # pair table would test all 3.4e10 pairs; max_subsets never counts them.
+    # pair table would test all 3.4e10 pairs; SUBSET_BUDGET never counts them.
     src = os.path.dirname(os.path.dirname(codethresh.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

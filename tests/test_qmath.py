@@ -51,7 +51,7 @@ _ENTRY_POINTS = {
     ),
     "empirical_threshold_sweep": (
         "q ell L n",
-        lambda q, ell, L, n: empirical_threshold_sweep([n], [0.5], 1, 0.1, ell, L, q, 0, 1),
+        lambda q, ell, L, n: empirical_threshold_sweep([n], [0.5], 1, 0.1, ell, L, q, 0),
     ),
     "entropy_q": ("q", lambda q, ell, L, n: entropy_q([0.5, 0.5], q)),
 }
@@ -62,7 +62,8 @@ _ENTRY_POINTS = {
     "entry, arg",
     [(entry, arg) for entry, (args, _) in _ENTRY_POINTS.items() for arg in args.split()],
 )
-def test_non_int_alphabet_arguments_are_refused(entry, arg, bad):
+def test_non_int_alphabet_arguments_are_refused(monkeypatch, entry, arg, bad):
+    monkeypatch.setenv("CODE_THRESH_THREADS", "1")  # the valid sweep runs in process
     call = _ENTRY_POINTS[entry][1]
     call(q=3, ell=1, L=3, n=4)  # the valid call goes through
     with pytest.raises(ValidationError):

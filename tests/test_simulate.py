@@ -49,7 +49,7 @@ def test_spec_validation():
 )
 def test_sweep_refuses_seeds_outside_64_bits(seed):
     with pytest.raises(ValidationError, match="seed"):
-        empirical_threshold_sweep([10], [0.2], 2, 0.1, 1, 3, 2, seed, workers=1)
+        empirical_threshold_sweep([10], [0.2], 2, 0.1, 1, 3, 2, seed)
 
 
 def test_trial_seed_is_deterministic_and_spread():
@@ -426,7 +426,14 @@ def test_bit_plane_search_across_word_and_plane_boundaries(monkeypatch):
     assert _popcount(np.full((5, 1), 2**64 - 1, np.uint64), 320).tolist() == [320]
 
 
-def test_tested_tuples_include_rows_without_candidates():
+def _capped(monkeypatch, budget, *args, **kwargs):
+    """contains_bad_matrix with SUBSET_BUDGET set to ``budget`` for this call only."""
+    with monkeypatch.context() as patch:
+        patch.setattr("codethresh.simulate.SUBSET_BUDGET", budget)
+        return contains_bad_matrix(*args, **kwargs)
+
+
+def test_tested_tuples_include_rows_without_candidates(monkeypatch):
     # Codes with no bad triple whose rows mostly have fewer than two close later
     # rows: the walk skips those, and still counts C(|N(a)|, 2) tuples per row a.
     for seed in (12, 13):
@@ -436,9 +443,9 @@ def test_tested_tuples_include_rows_without_candidates():
         assert sum(k < 2 for k in later) > len(code) / 2
         total = sum(math.comb(k, 2) for k in later)
         assert total > 0
-        assert contains_bad_matrix(code, 0.15, 1, 3, 2, max_subsets=total) == (False, None)
+        assert _capped(monkeypatch, total, code, 0.15, 1, 3, 2) == (False, None)
         with pytest.raises(BudgetError):
-            contains_bad_matrix(code, 0.15, 1, 3, 2, max_subsets=total - 1)
+            _capped(monkeypatch, total - 1, code, 0.15, 1, 3, 2)
 
 
 def _certificate_digest():
@@ -552,52 +559,54 @@ def test_contains_bad_matrix_validates_array_input():
         )
 
 
-def test_contains_bad_matrix_budget_error():
+def test_contains_bad_matrix_budget_error(monkeypatch):
     # The ternary tetracode: every triple of its 9 words has a coordinate with
     # three distinct symbols, so at p = 0 no triple is bad (ell = 2) and the
     # count test checks all C(9, 3) = 84 of them.
     code = [(a, b, (a + b) % 3, (a + 2 * b) % 3) for a in range(3) for b in range(3)]
     assert _first_bad_by_subset_scan(code, 0.0, 2, 3, 3) is None
-    assert contains_bad_matrix(code, p=0.0, ell=2, L=3, q=3, max_subsets=84) == (False, None)
-    with pytest.raises(BudgetError):
-        contains_bad_matrix(code, p=0.0, ell=2, L=3, q=3, max_subsets=83)
+    assert _capped(monkeypatch, 84, code, p=0.0, ell=2, L=3, q=3) == (False, None)
+    with pytest.raises(BudgetError, match="more than 83 candidate 3-tuples tested"):
+        _capped(monkeypatch, 83, code, p=0.0, ell=2, L=3, q=3)
 
 
-def test_contains_bad_matrix_caps_tuples_tested_at_runtime():
+def test_contains_bad_matrix_caps_tuples_tested_at_runtime(monkeypatch):
     # (i, i) for five symbols: every pair is 2 apart, within 2 * floor(0.5 * 2),
     # but no center meets three of them, so all C(5, 3) = 10 cliques are tested.
     code = [(i, i) for i in range(5)]
-    assert contains_bad_matrix(code, p=0.5, ell=1, L=3, q=5, max_subsets=10) == (False, None)
+    assert _capped(monkeypatch, 10, code, p=0.5, ell=1, L=3, q=5) == (False, None)
     with pytest.raises(BudgetError):
-        contains_bad_matrix(code, p=0.5, ell=1, L=3, q=5, max_subsets=9)
+        _capped(monkeypatch, 9, code, p=0.5, ell=1, L=3, q=5)
     # A bad first tuple returns before the cap is reached.
     code = [(0, 0), (0, 1), (1, 0)]
-    assert contains_bad_matrix(code, p=0.5, ell=1, L=3, q=2, max_subsets=1)[0]
+    assert _capped(monkeypatch, 1, code, p=0.5, ell=1, L=3, q=2)[0]
 
 
 def test_resolve_workers_env_override(monkeypatch):
-    assert resolve_workers(3) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("CODE_THRESH_THREADS", "2")
     assert resolve_workers() == 2
     monkeypatch.setenv("CODE_THRESH_THREADS", "zero?")
     with pytest.raises(ValidationError):
         resolve_workers()
-    for count in ("0", "-3"):  # the check that refuses workers=0 and -3
+    for count in ("0", "-3"):
         monkeypatch.setenv("CODE_THRESH_THREADS", count)
         with pytest.raises(ValidationError):
             resolve_workers()
     monkeypatch.delenv("CODE_THRESH_THREADS")
-    assert resolve_workers() >= 1
+    assert resolve_workers() == 4
 
 
-def test_sweep_is_reproducible_and_worker_independent():
+def test_sweep_is_reproducible_and_worker_independent(monkeypatch):
     kwargs = dict(
         n_list=[10], rate_grid=[0.2, 0.5], trials=16,
         p=0.1, ell=1, L=3, q=2, base_seed=77,
     )
-    serial = empirical_threshold_sweep(workers=1, **kwargs)
-    again = empirical_threshold_sweep(workers=1, **kwargs)
-    pooled = empirical_threshold_sweep(workers=2, **kwargs)
+    monkeypatch.setenv("CODE_THRESH_THREADS", "1")
+    serial = empirical_threshold_sweep(**kwargs)
+    again = empirical_threshold_sweep(**kwargs)
+    monkeypatch.setenv("CODE_THRESH_THREADS", "2")
+    pooled = empirical_threshold_sweep(**kwargs)
     strip = lambda rep: [(r.n, r.rate, r.trials, r.satisfied) for r in rep.rows]
     assert strip(serial) == strip(again) == strip(pooled)
     assert serial.crossings == pooled.crossings
@@ -612,9 +621,10 @@ def test_sweep_starts_one_worker_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("CODE_THRESH_THREADS", "2")
     rep = empirical_threshold_sweep(
         n_list=[8, 10], rate_grid=[0.2, 0.5], trials=4,
-        p=0.1, ell=1, L=3, q=2, base_seed=5, workers=2,
+        p=0.1, ell=1, L=3, q=2, base_seed=5,
     )
     assert started == [2]
     assert len(rep.rows) == 4
@@ -635,9 +645,10 @@ def test_sweep_sends_few_blocks_and_seeds_them_in_the_workers(monkeypatch, trial
     # Forked workers append to their own copies of ``seeded``: only the parent's calls count.
     monkeypatch.setattr(simulate, "trial_seed", lambda *a: seeded.append(a) or real(*a))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("CODE_THRESH_THREADS", "2")
     rep = empirical_threshold_sweep(
         n_list=[8, 10], rate_grid=[0.2, 0.5], trials=trials,
-        p=0.1, ell=1, L=3, q=2, base_seed=5, workers=2,
+        p=0.1, ell=1, L=3, q=2, base_seed=5,
     )
     assert 0 < len(submitted) <= 16 * 2 + len(rep.rows)
     assert seeded == []
@@ -655,7 +666,7 @@ def _crossing_by_hand(rates, fractions):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_sweep_matches_a_per_trial_loop(workers):
+def test_sweep_matches_a_per_trial_loop(monkeypatch, workers):
     # 11 trials per point fall into blocks of 5, 3 and 2 trials for 1, 2 and 3 workers.
     # Rates near both crossings, so most counts lie strictly between 0 and 11.
     n_list, rates, trials, seed = [12, 16], [0.4, 0.45, 0.5], 11, 1
@@ -674,8 +685,8 @@ def test_sweep_matches_a_per_trial_loop(workers):
             expected.append((n, rate, trials, found, found / trials))
             fractions.append(found / trials)
         crossings[n] = _crossing_by_hand(rates, fractions)
-    rep = empirical_threshold_sweep(n_list, rates, trials, base_seed=seed, workers=workers,
-                                    **search)
+    monkeypatch.setenv("CODE_THRESH_THREADS", str(workers))
+    rep = empirical_threshold_sweep(n_list, rates, trials, base_seed=seed, **search)
     assert [tuple(r) for r in rep.rows] == expected
     assert rep.crossings == crossings
     assert any(c is not None for c in crossings.values())
@@ -705,18 +716,19 @@ def test_sweep_budget_checked_before_sampling():
         )
 
 
-def test_sweep_budget_leaves_search_work_to_the_runtime_cap():
+def test_sweep_budget_leaves_search_work_to_the_runtime_cap(monkeypatch):
     # Codes of about 16,000 (ell = 1) and 780 (ell = 2) words hold far more
     # pairs or triples than the tuple cap, but the search stops at the first
     # bad tuple.
+    monkeypatch.setenv("CODE_THRESH_THREADS", "1")
     rep = empirical_threshold_sweep(
         n_list=[40], rate_grid=[0.35], trials=2,
-        p=0.1, ell=1, L=3, q=2, base_seed=9, workers=1,
+        p=0.1, ell=1, L=3, q=2, base_seed=9,
     )
     assert rep.rows[0].satisfied == 2
     rep = empirical_threshold_sweep(
         n_list=[24], rate_grid=[0.2], trials=2,
-        p=0.0, ell=2, L=3, q=4, base_seed=9, workers=1,
+        p=0.0, ell=2, L=3, q=4, base_seed=9,
     )
     assert rep.rows[0].satisfied == 2
 
@@ -728,24 +740,26 @@ TREND_TRIALS = 200
 TREND_SEED = 11
 
 
-def test_list_recovery_crossing_moves_toward_r_star():
+def test_list_recovery_crossing_moves_toward_r_star(monkeypatch):
     # (q, ell, L, p) = (4, 2, 3, 0): exact R* = 0.1130; the empirical
     # 1/2-crossing approaches it from above as n grows from 12 to 16.
     r_star = threshold_rate(ThresholdQuery(0.0, 2, 3, 4)).r_star
     assert abs(r_star - 0.1130) < 1e-4
+    monkeypatch.setenv("CODE_THRESH_THREADS", "2")
     rep = empirical_threshold_sweep(
         n_list=[12, 16], rate_grid=TREND_RATES, trials=TREND_TRIALS,
-        p=0.0, ell=2, L=3, q=4, base_seed=TREND_SEED, workers=2,
+        p=0.0, ell=2, L=3, q=4, base_seed=TREND_SEED,
     )
     cross12, cross16 = rep.crossings[12], rep.crossings[16]
     assert cross12 is not None and cross16 is not None
     assert abs(cross16 - r_star) < abs(cross12 - r_star)
 
 
-def test_sweep_fraction_bounds_and_rows():
+def test_sweep_fraction_bounds_and_rows(monkeypatch):
+    monkeypatch.setenv("CODE_THRESH_THREADS", "1")
     rep = empirical_threshold_sweep(
         n_list=[10], rate_grid=[0.1, 0.6], trials=12,
-        p=0.1, ell=1, L=3, q=2, base_seed=3, workers=1,
+        p=0.1, ell=1, L=3, q=2, base_seed=3,
     )
     assert [r.rate for r in rep.rows] == [0.1, 0.6]
     for r in rep.rows:
@@ -784,13 +798,13 @@ def test_search_answers_do_not_depend_on_the_table_chunk_size(monkeypatch):
             assert contains_bad_matrix(code, p=p, ell=ell, L=L, q=spec.q)[1] == cert
         assert contains_bad_matrix(big, p=0.0, ell=2, L=4, q=4)[1] == big_cert
         code = _tetracode()
-        assert contains_bad_matrix(code, p=0.0, ell=2, L=3, q=3, max_subsets=84) == (False, None)
+        assert _capped(monkeypatch, 84, code, p=0.0, ell=2, L=3, q=3) == (False, None)
         with pytest.raises(BudgetError):
-            contains_bad_matrix(code, p=0.0, ell=2, L=3, q=3, max_subsets=83)
+            _capped(monkeypatch, 83, code, p=0.0, ell=2, L=3, q=3)
         code = [(i, i) for i in range(5)]
-        assert contains_bad_matrix(code, p=0.5, ell=1, L=3, q=5, max_subsets=10) == (False, None)
+        assert _capped(monkeypatch, 10, code, p=0.5, ell=1, L=3, q=5) == (False, None)
         with pytest.raises(BudgetError):
-            contains_bad_matrix(code, p=0.5, ell=1, L=3, q=5, max_subsets=9)
+            _capped(monkeypatch, 9, code, p=0.5, ell=1, L=3, q=5)
 
 
 def test_search_runs_one_count_test_per_first_row(monkeypatch):
@@ -863,10 +877,9 @@ def test_sibling_blocks_give_the_subset_scan_answers(monkeypatch):
                     found += cert is not None
                     total = _tested_by_count_test(words, p, ell, L)
                     if cert is None and total > 0:
-                        assert contains_bad_matrix(code, p, ell, L, q, max_subsets=total) == (
-                            False, None)
+                        assert _capped(monkeypatch, total, code, p, ell, L, q) == (False, None)
                         with pytest.raises(BudgetError):
-                            contains_bad_matrix(code, p, ell, L, q, max_subsets=total - 1)
+                            _capped(monkeypatch, total - 1, code, p, ell, L, q)
                         totals += 1
     assert found > 10 and totals > 10
 
@@ -891,7 +904,7 @@ def test_codes_shorter_than_L_build_no_bit_planes(monkeypatch):
 
     monkeypatch.setattr(simulate, "_bit_planes", lambda *a: pytest.fail("planes built"))
     for words in ([[0, 1, 1]], [[0, 1, 1], [1, 0, 0]]):
-        assert contains_bad_matrix(words, p=1.0, ell=1, L=3, q=2, max_subsets=0) == (False, None)
+        assert _capped(monkeypatch, 0, words, p=1.0, ell=1, L=3, q=2) == (False, None)
 
 
 def test_pair_budget_charges_the_pair_tests_run(monkeypatch):
@@ -981,11 +994,11 @@ def test_sweep_clamps_the_worker_count_to_the_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     kwargs = dict(n_list=[8, 10], rate_grid=[0.2, 0.5], trials=4,
                   p=0.1, ell=1, L=3, q=2, base_seed=5)
-    serial = empirical_threshold_sweep(workers=1, **kwargs)
-    assert empirical_threshold_sweep(workers=10**6, **kwargs).rows == serial.rows
+    monkeypatch.setenv("CODE_THRESH_THREADS", "1")
+    serial = empirical_threshold_sweep(**kwargs)
     monkeypatch.setenv("CODE_THRESH_THREADS", str(10**6))
     assert empirical_threshold_sweep(**kwargs).rows == serial.rows
-    assert started == [2, 2]
+    assert started == [2]
 
 
 @pytest.mark.parametrize(
@@ -995,7 +1008,7 @@ def test_sweep_clamps_the_worker_count_to_the_cpus(monkeypatch):
         dict(ell=3), dict(p=-0.1), dict(p=1.5), dict(p=math.nan),
         dict(n_list=[10, 10]), dict(rate_grid=[0.4, 0.3]), dict(rate_grid=[0.2, 0.2]),
         dict(trials=2.5), dict(n_list=[]), dict(rate_grid=[]),
-        dict(workers=2.5), dict(workers=0), dict(workers=-3),
+        dict(threads="2.5"), dict(threads="0"), dict(threads="-3"),
     ],
 )
 def test_sweep_validates_inputs_before_seeding(monkeypatch, change):
@@ -1004,6 +1017,8 @@ def test_sweep_validates_inputs_before_seeding(monkeypatch, change):
 
     monkeypatch.setattr("codethresh.simulate.trial_seed", no_seeding)
     kwargs = dict(n_list=[10], rate_grid=[0.2, 0.3], trials=2, p=0.1, ell=1, L=3, q=2,
-                  base_seed=1, workers=2)
+                  base_seed=1, threads="2")
+    kwargs.update(change)
+    monkeypatch.setenv("CODE_THRESH_THREADS", kwargs.pop("threads"))
     with pytest.raises(ValidationError):
-        empirical_threshold_sweep(**{**kwargs, **change})
+        empirical_threshold_sweep(**kwargs)
