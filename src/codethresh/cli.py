@@ -25,10 +25,10 @@ from .rlc import implied_type_scan, rlc_list_of_two_threshold
 from .simulate import empirical_threshold_sweep
 from .solver import (
     ThresholdQuery,
-    kl_estimate,
+    _kl_estimates,
+    _threshold_columns,
     list_of_two_rc_threshold,
     threshold_rate,
-    threshold_rates,
     toy_property_rates,
 )
 
@@ -75,11 +75,14 @@ def _float_grid(lo: float, hi: float, step: float) -> list[float]:
         raise BudgetError(
             f"grid [{lo}, {hi}] with step {step} has over {GRID_BUDGET} points"
         )
+    # Points are rounded to 12 decimals, so a finer step would repeat them.
+    if step < 1e-12:
+        raise ValidationError(f"step must be at least 1e-12, got {step}")
     out = []
     k = 0
     while True:
         x = lo + k * step
-        if x > hi + 1e-12:
+        if x > hi + min(1e-12, step / 2):
             break
         out.append(round(x, 12))
         k += 1
@@ -100,14 +103,22 @@ def _cmd_threshold(args) -> tuple[Any, list[dict]]:
 
 
 def _cmd_sweep(args) -> tuple[Any, list[dict]]:
+    """Exact R* and the KL estimate over the p grid, in one pass.
+
+    The grid is checked as its queries would be, once: the query at the
+    first p, then the first p outside [0, 1) if there is one.
+    """
     grid = _float_grid(args.p_min, args.p_max, args.p_step)
-    queries = [ThresholdQuery(p, args.ell, args.L, args.q) for p in grid]
-    rows = []
-    for query, res in zip(queries, threshold_rates(queries)):
-        estimate, band = kl_estimate(query)
-        rows.append(
-            {"p": query.p, "exact": res.r_star, "kl_estimate": estimate, "band": band}
-        )
+    query = ThresholdQuery(grid[0], args.ell, args.L, args.q)
+    if (bad := next((p for p in grid if not 0.0 <= p < 1.0), None)) is not None:
+        ThresholdQuery(bad, args.ell, args.L, args.q)
+    profile = level_profile(LevelSetParams(args.q, args.ell, args.L))
+    exact = _threshold_columns(profile, grid, query.epsilon)[0]
+    estimates, band = _kl_estimates(grid, args.ell, args.L, args.q)
+    rows = [
+        {"p": p, "exact": x, "kl_estimate": e, "band": band}
+        for p, x, e in zip(grid, exact, estimates)
+    ]
     return {"rows": rows}, rows
 
 

@@ -243,8 +243,8 @@ def sample_random_code(spec: RandomCodeSpec) -> np.ndarray:
 
 
 def _coverage_patterns(
-    syms: Sequence[int], ell: int, q: int
-) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    syms: tuple[int, ...], ell: int, q: int
+) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
     """Distinct per-coordinate transitions: (miss indicator per column, K).
 
     Only subsets of the symbols present in this coordinate matter; any
@@ -252,19 +252,30 @@ def _coverage_patterns(
     dominate, so taking min(ell, #present) of the present symbols is
     exhaustive up to domination.  When fewer than ell symbols are present,
     K is padded to ell symbols with the smallest absent ones of 0..q-1.
-    BudgetError, before any is listed, when their count times the columns
-    passes STATE_BUDGET.
+    BudgetError, before any is listed or looked up, when their count times
+    the columns passes STATE_BUDGET.
     """
-    present = sorted(set(syms))
-    if (count := math.comb(len(present), min(ell, len(present)))) * len(syms) > STATE_BUDGET:
+    present = len(set(syms))
+    if (count := math.comb(present, min(ell, present))) * len(syms) > STATE_BUDGET:
         raise BudgetError(f"{count} coverage patterns of {len(syms)} columns pass "
                           f"{STATE_BUDGET} badness DP state entries")
+    # Only small listings are kept, so the cache holds a few MB at most.
+    listing = _pattern_listing if count * len(syms) <= 64 else _pattern_listing.__wrapped__
+    return listing(syms, ell, q)
+
+
+@functools.lru_cache(maxsize=4096)
+def _pattern_listing(
+    syms: tuple[int, ...], ell: int, q: int
+) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
+    """_coverage_patterns' listing, shared by every is_bad_tuple call."""
+    present = sorted(set(syms))
     absent = (s for s in range(q) if s not in present)
     pad = frozenset(itertools.islice(absent, max(0, ell - len(present))))
-    return [
+    return tuple(
         (tuple(0 if s in core else 1 for s in syms), pad.union(core))
         for core in itertools.combinations(present, min(ell, len(present)))
-    ]
+    )
 
 
 def is_bad_tuple(
@@ -286,7 +297,7 @@ def is_bad_tuple(
     start = (0,) * L
     states: set[tuple[int, ...]] = {start}
     trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]]] = []
-    patterns: dict[tuple[int, ...], list] = {}  # per distinct symbol column, this call only
+    patterns: dict[tuple[int, ...], tuple] = {}  # per distinct symbol column, this call only
     for syms in zip(*cols):
         if syms not in patterns:
             patterns[syms] = _coverage_patterns(syms, ell, q)

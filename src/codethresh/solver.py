@@ -29,6 +29,7 @@ toy comparison) are exposed alongside the general solver.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -191,32 +192,35 @@ def _solve_dual(
     return np.clip(upper, 0.0, float(L)), best, np.maximum(upper - lower, 0.0) / L
 
 
-def _threshold_results(
+def _threshold_columns(
     profile: LevelProfile, ps: Sequence[float], eps: float
-) -> list[ThresholdResult]:
-    """R* for each p on one profile: regime tests per p, one dual solve for the rest."""
-    L = profile.params.L
-    out: list[Optional[ThresholdResult]] = [None] * len(ps)
-    dual_rows = []
-    for i, p in enumerate(ps):
-        if _zero_rate(profile, p):
-            out[i] = ThresholdResult(0.0, float(L), None, "zero_rate", 0.0)
-        elif p == 0.0:
-            # Constant vectors always lie in D_0, so the level is nonempty.
-            b = profile.log_counts[0]
-            out[i] = ThresholdResult(1.0 - b / L, b, None, "closed_form_zero_error", 0.0)
-        else:
-            dual_rows.append(i)
-    if dual_rows:
-        p = np.array([ps[i] for i in dual_rows], dtype=float)
-        betas, alphas, bounds = _solve_dual(profile, p, eps)
-        for i, b, a, e in zip(dual_rows, betas.tolist(), alphas.tolist(), bounds.tolist()):
-            out[i] = ThresholdResult(1.0 - b / L, b, a, "bisection", e)
-    return out
+) -> tuple[list[float], list[float], list[Optional[float]], list[str], list[float]]:
+    """R* for each p in [0, 1) on one profile, as ThresholdResult's five columns.
+
+    The zero-rate test pL >= t* is monotone in p, so its rows are a tail of
+    the p-sorted order, found by bisecting the exact test.  The p = 0 rows
+    below it take the closed form, and the rest are one dual solve.
+    """
+    L, n = profile.params.L, len(ps)
+    order = sorted(range(n), key=ps.__getitem__)
+    cut = bisect.bisect_left(order, True, key=lambda i: _zero_rate(profile, ps[i]))
+    zeros = bisect.bisect_right(order, 0.0, hi=cut, key=ps.__getitem__)
+    r_star, beta, alpha = [0.0] * n, [float(L)] * n, [None] * n
+    method, bound = ["zero_rate"] * n, [0.0] * n
+    # Constant vectors always lie in D_0, so the level is nonempty.
+    b0 = profile.log_counts[0]
+    for i in order[:zeros]:
+        r_star[i], beta[i], method[i] = 1.0 - b0 / L, b0, "closed_form_zero_error"
+    if rows := order[zeros:cut]:
+        betas, alphas, bounds = _solve_dual(profile, np.array([ps[i] for i in rows]), eps)
+        for i, r, b, a, e in zip(rows, (1.0 - betas / L).tolist(), betas.tolist(),
+                                 alphas.tolist(), bounds.tolist()):
+            r_star[i], beta[i], alpha[i], method[i], bound[i] = r, b, a, "bisection", e
+    return r_star, beta, alpha, method, bound
 
 
 def threshold_rates(queries: Sequence[ThresholdQuery]) -> list[ThresholdResult]:
-    """R* for queries that differ only in p, with one dual solve for all of them.
+    """R* for queries that differ only in p, in any order, with one dual solve for all.
 
     Each result is what ``threshold_rate`` gives for its query; the
     ``error_bound`` of a dual result is the certified gap divided by L.
@@ -230,7 +234,8 @@ def threshold_rates(queries: Sequence[ThresholdQuery]) -> list[ThresholdResult]:
     ):
         raise ValidationError("queries must share ell, L, q and epsilon")
     profile = level_profile(LevelSetParams(first.q, first.ell, first.L))
-    return _threshold_results(profile, [x.p for x in queries], first.epsilon)
+    columns = _threshold_columns(profile, [x.p for x in queries], first.epsilon)
+    return list(map(ThresholdResult, *columns))
 
 
 def threshold_rate(query: ThresholdQuery) -> ThresholdResult:
@@ -271,6 +276,13 @@ def list_of_two_rc_threshold(p: float) -> float:
     return 1.0 - (1.0 + q_ary_entropy(3.0 * p, 2) + 3.0 * p * math.log2(3.0)) / 3.0
 
 
+def _kl_estimates(ps: Sequence[float], ell: int, L: int, q: int) -> tuple[list[float], float]:
+    """kl_estimate for each p of one (ell, L, q): the estimates, and their common band."""
+    band = q * math.log(L) / L
+    r = 1.0 - ell / q
+    return [0.0 if r <= 0.0 or p >= r else kl_q(p, r, q) for p in ps], band
+
+
 def kl_estimate(query: ThresholdQuery) -> tuple[float, float]:
     """The large-L approximation D_q(p || 1 - ell/q) with its error scale.
 
@@ -278,11 +290,8 @@ def kl_estimate(query: ThresholdQuery) -> tuple[float, float]:
     the approximation error; its constant is not pinned down, so the band
     is reported as an uncalibrated scale (natural logarithm).
     """
-    band = query.q * math.log(query.L) / query.L
-    r = 1.0 - query.ell / query.q
-    if r <= 0.0 or query.p >= r:
-        return 0.0, band
-    return kl_q(query.p, r, query.q), band
+    (estimate,), band = _kl_estimates([query.p], query.ell, query.L, query.q)
+    return estimate, band
 
 
 class ToyRates(NamedTuple):

@@ -304,6 +304,31 @@ def test_unbounded_grids_exit_promptly(bounds, code):
     assert proc.stderr.startswith("budget exceeded:" if code == 1 else "error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--q", "2", "--ell", "1", "--L", "3", "--p-min", "0.9", "--p-max", "1.2",
+          "--p-step", "0.1"], "p must lie in [0, 1), got 1.0"),
+        # r = 1 - ell/q rounds to 1.0, so the KL estimate has no domain.
+        (["--q", "99999999999999999999", "--ell", "1", "--L", "3", "--p-min", "0.05",
+          "--p-max", "0.2", "--p-step", "0.05"], "kl_q requires r strictly inside (0,1), got 1.0"),
+    ],
+)
+def test_sweep_errors_keep_their_messages(capsys, argv, message):
+    code, out, err = _capture(capsys, ["sweep", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_grids_neither_repeat_points_nor_pass_their_end(capsys):
+    # Points are rounded to 12 decimals: a step of 1e-13 printed six rows at
+    # p = 0.0 and six at p = 1e-12, above p_max.
+    code, out, err = _capture(capsys, ["sweep", "--q", "2", "--ell", "1", "--L", "3",
+                                       "--p-min", "0", "--p-max", "1e-13", "--p-step", "1e-13"])
+    assert code == 2 and out == "" and err.startswith("error: step must be at least 1e-12")
+    assert cli._float_grid(0.0, 3e-12, 1e-12) == [0.0, 1e-12, 2e-12, 3e-12]
+    assert cli._float_grid(0.05, 0.15, 0.05) == [0.05, 0.1, 0.15]
+
+
 def test_nan_rate_exits_2(capsys):
     code, out, err = _capture(
         capsys, ["simulate", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -297,6 +298,22 @@ def test_grid_solve_matches_scalar_solves():
             assert res == threshold_rate(query), (q, ell, L, query.p)
             methods.add(res.method)
         assert methods == {"closed_form_zero_error", "bisection", "zero_rate"}
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_batch_and_single_solves_agree_exactly(shuffled):
+    # Grids from p = 0 across t*/L, with the boundary float and its two neighbours;
+    # the batch sorts by p to find the zero-rate rows, so order must not matter.
+    for q in (2, 3, 4):
+        for ell in range(1, q):
+            for L in (2, 3, 5, 8):
+                edge = level_profile(LevelSetParams(q, ell, L)).t_star / L
+                ps = [1.5 * edge * k / 40 for k in range(41)]
+                ps += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)]
+                if shuffled:
+                    random.Random(q * 100 + ell * 10 + L).shuffle(ps)
+                queries = [ThresholdQuery(min(p, 0.99), ell, L, q) for p in ps]
+                assert threshold_rates(queries) == [threshold_rate(x) for x in queries]
 
 
 def test_grid_solve_rejects_mixed_queries():
