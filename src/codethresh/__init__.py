@@ -8,8 +8,7 @@ empirically by Monte Carlo simulation of small random codes.
 """
 
 from .errors import BudgetError, DomainError, ValidationError
-from .levels import LevelSetParams, level_profile, p_ell
-from .qmath import entropy_q, kl_q, multinomial_exact, q_ary_entropy
+from .levels import LevelSetParams, level_profile
 from .rlc import implied_type_scan, rlc_list_of_two_threshold
 from .simulate import (
     RandomCodeSpec,
@@ -24,7 +23,6 @@ from .solver import (
     list_of_two_rc_threshold,
     perfect_hashing_threshold,
     threshold_rate,
-    threshold_rates,
     toy_property_rates,
     zero_error_threshold,
 )
@@ -40,21 +38,15 @@ __all__ = [
     "ValidationError",
     "contains_bad_matrix",
     "empirical_threshold_sweep",
-    "entropy_q",
     "implied_type_scan",
     "is_bad_tuple",
     "kl_estimate",
-    "kl_q",
     "level_profile",
     "list_of_two_rc_threshold",
-    "multinomial_exact",
-    "p_ell",
     "perfect_hashing_threshold",
-    "q_ary_entropy",
     "rlc_list_of_two_threshold",
     "sample_random_code",
     "threshold_rate",
-    "threshold_rates",
     "toy_property_rates",
     "zero_error_threshold",
     "__version__",

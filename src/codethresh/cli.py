@@ -75,9 +75,9 @@ def _float_grid(lo: float, hi: float, step: float) -> list[float]:
         raise BudgetError(
             f"grid [{lo}, {hi}] with step {step} has over {GRID_BUDGET} points"
         )
-    # Points are rounded to 12 decimals, so a finer step would repeat them.
-    if step < 1e-12:
-        raise ValidationError(f"step must be at least 1e-12, got {step}")
+    # Points are rounded to 12 decimals, so any other step would repeat or skew them.
+    if round(step, 12) != step:
+        raise ValidationError(f"step must be at least 1e-12 and a multiple of it, got {step}")
     out = []
     k = 0
     while True:

@@ -44,7 +44,6 @@ __all__ = [
     "ThresholdQuery",
     "ThresholdResult",
     "threshold_rate",
-    "threshold_rates",
     "zero_error_threshold",
     "perfect_hashing_threshold",
     "list_of_two_rc_threshold",
@@ -195,7 +194,7 @@ def _solve_dual(
 def _threshold_columns(
     profile: LevelProfile, ps: Sequence[float], eps: float
 ) -> tuple[list[float], list[float], list[Optional[float]], list[str], list[float]]:
-    """R* for each p in [0, 1) on one profile, as ThresholdResult's five columns.
+    """R* for each p in [0, 1), in any order, as ThresholdResult's five columns.
 
     The zero-rate test pL >= t* is monotone in p, so its rows are a tail of
     the p-sorted order, found by bisecting the exact test.  The p = 0 rows
@@ -219,39 +218,20 @@ def _threshold_columns(
     return r_star, beta, alpha, method, bound
 
 
-def threshold_rates(queries: Sequence[ThresholdQuery]) -> list[ThresholdResult]:
-    """R* for queries that differ only in p, in any order, with one dual solve for all.
-
-    Each result is what ``threshold_rate`` gives for its query; the
-    ``error_bound`` of a dual result is the certified gap divided by L.
-    """
-    if not queries:
-        return []
-    first = queries[0]
-    if any(
-        (x.ell, x.L, x.q, x.epsilon) != (first.ell, first.L, first.q, first.epsilon)
-        for x in queries
-    ):
-        raise ValidationError("queries must share ell, L, q and epsilon")
-    profile = level_profile(LevelSetParams(first.q, first.ell, first.L))
-    columns = _threshold_columns(profile, [x.p for x in queries], first.epsilon)
-    return list(map(ThresholdResult, *columns))
-
-
 def threshold_rate(query: ThresholdQuery) -> ThresholdResult:
-    """R* = 1 - beta/L for the query, tagged with the computation path.
+    """R* = 1 - beta/L for the query: its row of ``_threshold_columns``.
 
-    The exact zero-rate test pL >= t* (beta = L), the p = 0 closed form
-    (beta = log_q |D_0|), or the dual solve, tagged "bisection": beta within
-    epsilon * L, alpha_star its minimizer.  Closed forms are separate below.
+    ``method`` is "zero_rate" (pL >= t*), "closed_form_zero_error" (p = 0) or
+    "bisection" (the dual solve: beta within epsilon * L, error_bound the gap / L).
     """
-    return threshold_rates([query])[0]
+    profile = level_profile(LevelSetParams(query.q, query.ell, query.L))
+    columns = _threshold_columns(profile, [query.p], query.epsilon)
+    return ThresholdResult(*(column[0] for column in columns))
 
 
 def zero_error_threshold(params: LevelSetParams) -> float:
-    """R* at p = 0: with p* = |D_0| / q^L, returns -log_q(p*) / L."""
-    profile = level_profile(params)
-    return (params.L - profile.log_counts[0]) / params.L
+    """R* at p = 0 as ``threshold_rate`` gives it: 1 - log_q|D_0| / L, and 0 if t* = 0."""
+    return _threshold_columns(level_profile(params), [0.0], 1.0)[0][0]  # no solve at p = 0
 
 
 def perfect_hashing_threshold(q: int) -> float:

@@ -329,6 +329,17 @@ def test_grids_neither_repeat_points_nor_pass_their_end(capsys):
     assert cli._float_grid(0.05, 0.15, 0.05) == [0.05, 0.1, 0.15]
 
 
+@pytest.mark.parametrize("p_min, p_max", [(0.0, 2.6e-12), (0.1, 0.1000000000026)])
+def test_steps_off_the_12_decimal_lattice_exit_2(capsys, p_min, p_max):
+    # Rounding each point to 12 decimals turned a step of 1.3e-12 into the
+    # uneven [0.0, 1e-12, 3e-12], and put the last point above p_max.
+    code, out, err = _capture(capsys, ["sweep", "--q", "2", "--ell", "1", "--L", "3",
+                                       "--p-min", repr(p_min), "--p-max", repr(p_max),
+                                       "--p-step", "1.3e-12"])
+    assert (code, out) == (2, "")
+    assert err == "error: step must be at least 1e-12 and a multiple of it, got 1.3e-12\n"
+
+
 def test_nan_rate_exits_2(capsys):
     code, out, err = _capture(
         capsys, ["simulate", "--p", "0.1", "--ell", "1", "--L", "3", "--q", "2",

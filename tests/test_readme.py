@@ -49,6 +49,15 @@ def test_readme_calls_name_package_attributes():
     assert [name for name in names if not hasattr(codethresh, name)] == []
 
 
+def test_package_root_exports_only_documented_entry_points():
+    # The reverse: each root name but the error and input types is called in the prose.
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    names = set(re.findall(r"`([A-Za-z_]\w*)\(", prose))
+    types = {"BudgetError", "DomainError", "ValidationError", "LevelSetParams",
+             "RandomCodeSpec", "ThresholdQuery", "__version__"}
+    assert [name for name in codethresh.__all__ if name not in names | types] == []
+
+
 @pytest.mark.parametrize(
     "command, printed", EXAMPLES, ids=[command for command, _ in EXAMPLES]
 )

@@ -16,12 +16,13 @@ from codethresh.levels import LevelSetParams, level_profile
 from codethresh.oracle import composition_level_counts
 from codethresh.solver import (
     ThresholdQuery,
+    ThresholdResult,
     _dual,
+    _threshold_columns,
     kl_estimate,
     list_of_two_rc_threshold,
     perfect_hashing_threshold,
     threshold_rate,
-    threshold_rates,
     toy_property_rates,
     zero_error_threshold,
 )
@@ -289,12 +290,20 @@ def test_subnormal_p_gives_the_zero_error_threshold(p):
         assert slopes[0] < 0.0 < slopes[1]
 
 
+def _batch(queries):
+    """The results for queries that differ only in p, from one _threshold_columns call."""
+    first = queries[0]
+    profile = level_profile(LevelSetParams(first.q, first.ell, first.L))
+    columns = _threshold_columns(profile, [x.p for x in queries], first.epsilon)
+    return list(map(ThresholdResult, *columns))
+
+
 def test_grid_solve_matches_scalar_solves():
     # p from 0 (closed form) across t*/L (zero rate) for each (q, ell, L).
     for q, ell, L in ((2, 1, 3), (3, 2, 5), (4, 1, 12)):
         queries = [ThresholdQuery(0.02 * k, ell, L, q) for k in range(33)]
         methods = set()
-        for query, res in zip(queries, threshold_rates(queries)):
+        for query, res in zip(queries, _batch(queries)):
             assert res == threshold_rate(query), (q, ell, L, query.p)
             methods.add(res.method)
         assert methods == {"closed_form_zero_error", "bisection", "zero_rate"}
@@ -313,14 +322,13 @@ def test_batch_and_single_solves_agree_exactly(shuffled):
                 if shuffled:
                     random.Random(q * 100 + ell * 10 + L).shuffle(ps)
                 queries = [ThresholdQuery(min(p, 0.99), ell, L, q) for p in ps]
-                assert threshold_rates(queries) == [threshold_rate(x) for x in queries]
+                assert _batch(queries) == [threshold_rate(x) for x in queries]
 
 
-def test_grid_solve_rejects_mixed_queries():
-    assert threshold_rates([]) == []
-    with pytest.raises(ValidationError):
-        threshold_rates([ThresholdQuery(0.1, 1, 3, 2), ThresholdQuery(0.1, 1, 4, 2)])
-    with pytest.raises(ValidationError):
-        threshold_rates(
-            [ThresholdQuery(0.1, 1, 3, 2), ThresholdQuery(0.1, 1, 3, 2, epsilon=1e-9)]
-        )
+def test_zero_error_threshold_is_the_p0_row():
+    # One path for R* at p = 0; ell >= min(q, L) puts every vector in D_0 (zero rate).
+    for q in range(2, 9):
+        for ell in range(1, q + 1):
+            for L in range(2, 25):
+                expected = threshold_rate(ThresholdQuery(0.0, ell, L, q)).r_star
+                assert zero_error_threshold(LevelSetParams(q, ell, L)) == expected, (q, ell, L)
