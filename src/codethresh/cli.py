@@ -39,8 +39,12 @@ GRID_BUDGET = 100_000
 
 
 def _num(x):
-    """x rounded to 12 significant digits, printed as the shortest text of that float."""
-    return repr(float("%.12g" % x))
+    """x rounded to 12 significant digits, printed as repr prints that float: %.12g already has
+    repr's digits (12-digit decimals lie over 2**-53 apart), only not its ".0" or its exponent."""
+    s = "%.12g" % x
+    if "e" in s or "n" in s:  # an exponent (from 1e12 on; repr's from 1e16 on), inf or nan
+        return repr(float(s))
+    return s if "." in s else s + ".0"
 
 
 def _put_json(o, put, pad=""):
@@ -50,6 +54,8 @@ def _put_json(o, put, pad=""):
     """
     if isinstance(o, float) and math.isfinite(o):
         put(_num(o))
+    elif isinstance(o, str):  # the encoder json.dumps(o) calls, with no dumps overhead
+        put(json.encoder.encode_basestring_ascii(o))
     elif type(o) is int:  # bools and other subclasses print as json.dumps prints them
         put(repr(o))
     elif isinstance(o, (dict, list, tuple)) and o:
@@ -60,7 +66,7 @@ def _put_json(o, put, pad=""):
             _put_json(v, put, inner)
             sep = f",\n{inner}"
         put(f"\n{pad}{'}' if keyed else ']'}")
-    else:  # str, None, bools, NaN, infinities, empty containers; json.dumps raises on others
+    else:  # None, bools, NaN, infinities, empty containers; json.dumps raises on others
         put(json.dumps(o))
 
 

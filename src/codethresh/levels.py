@@ -108,7 +108,8 @@ def level_profile(params: LevelSetParams) -> LevelProfile:
     them in reverse lexicographic order as Knuth's Algorithm P does (TAOCP
     4A, 7.2.1.4).  Part i contributes the factor C(rest, lambda_i) to the
     multinomial, and stepping lambda_i down by one updates it in place
-    with C(n, f-1) = C(n, f) * f / (n - f + 1).
+    with C(n, f-1) = C(n, f) * f / (n - f + 1).  With two slots left the
+    last part is forced, so its leaf is added in the loop, not by a call.
     """
     q, ell, L = params.q, params.ell, params.L
     bits = (L + 1) * L * math.log2(q)
@@ -138,6 +139,9 @@ def level_profile(params: LevelSetParams) -> LevelProfile:
             c = covered + f if depth < ell else covered
             if f == rest:
                 counts[L - c] += w
+            elif slots == 2:  # the last part g = rest - f is forced, and g <= f
+                g = rest - f
+                counts[L - (c + g if depth + 1 < ell else c)] += w // (r + 1 if g == f else 1)
             else:
                 walk(depth + 1, rest - f, f, r, w, c)
             binom = binom * f // (rest - f + 1)

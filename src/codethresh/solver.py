@@ -241,6 +241,8 @@ def perfect_hashing_threshold(q: int) -> float:
     some coordinate; the count behind the formula is |D_0| = q^q - q!.
     """
     check_alphabet(q)
+    if q >= 800:  # q!/q^q <= e sqrt(q) e^-q < 2**-1075: 0.0, as the formula gives from q = 741
+        return 0.0
     ratio = math.factorial(q) / q**q
     return -math.log1p(-ratio) / (q * math.log(q))
 

@@ -10,6 +10,7 @@ import gc
 import io
 import itertools
 import json
+import math
 import os
 import re
 import resource
@@ -600,7 +601,9 @@ _PAYLOADS = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=4)
                          | st.lists(kids, max_size=4).map(tuple)
                          | st.dictionaries(_TEXT, kids, max_size=4), max_leaves=30)
 
-_PINNED = [5e-324, 2.2250738585072014e-308, 999999999999.5, 1e12, 9999999999999998.0, -0.0]
+_PINNED = [5e-324, 2.2250738585072014e-308, 999999999999.5, 1e12, 9999999999999998.0, -0.0,
+           1.0, -3.0, 123456789012.0, 1.5e13, 9.99999999999e15, 1.5e-07, 0.0001,
+           math.inf, math.nan]  # each branch of _num: no ".", exponent 12-15, the 1e-4 cut
 
 
 @settings(max_examples=400, deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -145,6 +146,24 @@ def test_counts_match_composition_oracle():
     for q, ell, L in points:
         params = LevelSetParams(q, ell, L)
         assert level_profile(params).counts == composition_level_counts(params), (q, ell, L)
+
+
+# SHA-256 of ",".join(map(str, counts)) at the levelsets-large benchmark points
+# too big for the composition oracle (C(L + q - 1, q - 1) compositions each),
+# computed at commit 7afd8ed, before the walk placed the forced last part inline.
+LARGE_PROFILE_DIGESTS = {
+    (6, 2, 40): "117e26a21ed58b1fd7b1e2c1d26bf140ab28862be96d4d07b148ebb6eca4b1a6",
+    (12, 2, 12): "c424943078417f4e0a3663547a6aff9bbaa1f6ed12dda51d1d6d62047fb11c00",
+    (10, 3, 12): "1c17b934d41534e4126706942eb2d04528e3b12a02610c07f26e313b58939af1",
+    (8, 3, 16): "0829e1cc8e5f51f36606f2fb86f1e7dc5e6279feff13d401ba50df9500edd2b7",
+}
+
+
+def test_large_profiles_match_pinned_digests():
+    for (q, ell, L), digest in LARGE_PROFILE_DIGESTS.items():
+        assert math.comb(L + q - 1, q - 1) > 10**5
+        counts = level_profile(LevelSetParams(q, ell, L)).counts
+        assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest, (q, ell, L)
 
 
 def test_composition_budget_error():

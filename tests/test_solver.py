@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,17 @@ def test_perfect_hashing_frozen_values():
         assert perfect_hashing_threshold(q) == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ValidationError):
         perfect_hashing_threshold(1)
+
+
+def test_perfect_hashing_huge_q_returns_zero_promptly():
+    # q!/q^q underflows from q = 741; computing it at q = 10**8 builds a q**q of
+    # 8e8 digits, and at 10**400 math.factorial raises OverflowError.
+    start = time.perf_counter()
+    assert perfect_hashing_threshold(10**400) == perfect_hashing_threshold(10**8) == 0.0
+    assert time.perf_counter() - start < 0.1
+    for q in range(790, 811):
+        inline = -math.log1p(-(math.factorial(q) / q**q)) / (q * math.log(q))
+        assert perfect_hashing_threshold(q).hex() == inline.hex(), q
 
 
 def test_perfect_hashing_three_paths_agree():
