@@ -17,12 +17,13 @@ at most q parts, so counts are exact integers accumulated over partitions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, integer
 from .qmath import check_alphabet
 
 __all__ = ["LevelSetParams", "LevelProfile", "p_ell", "level_profile"]
@@ -45,8 +46,7 @@ class LevelSetParams:
 
     def __post_init__(self) -> None:
         check_alphabet(self.q, self.ell)
-        if not isinstance(self.L, int) or self.L < 1:
-            raise ValidationError(f"L must be an integer >= 1, got {self.L!r}")
+        integer(self.L, "L", 1)
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,8 @@ def p_ell(v: Sequence[int], ell: int, q: int) -> int:
     sorts the histogram of v descending and subtracts the top-ell mass.
     """
     check_alphabet(q, ell)
-    freq: dict[int, int] = {}
-    for s in v:
-        if not isinstance(s, int) or not 0 <= s < q:
-            raise ValidationError(f"symbols must be ints in 0..{q - 1}, got {s!r}")
-        freq[s] = freq.get(s, 0) + 1
+    span = f"ints in 0..{q - 1}"
+    freq = Counter(integer(s, "symbols", 0, q - 1, span) for s in v)
     covered = sum(sorted(freq.values(), reverse=True)[:ell])
     return len(v) - covered
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, integer
 
 __all__ = [
     "entropy_q",
@@ -30,10 +30,8 @@ NORMALIZATION_TOL = 1e-9
 
 def check_alphabet(q: int, ell: int = 1) -> None:
     """Refuse q and ell unless they are Python ints with q >= 2 and 1 <= ell <= q."""
-    if not isinstance(q, int) or q < 2:
-        raise ValidationError(f"alphabet size q must be an integer >= 2, got {q!r}")
-    if not isinstance(ell, int) or not 1 <= ell <= q:
-        raise ValidationError(f"ell must be an integer in 1..q, got ell={ell!r}, q={q}")
+    integer(q, "alphabet size q", 2)
+    integer(ell, "ell", 1, q, "an integer in 1..q")
 
 
 def entropy_q(dist: Sequence[float], q: int) -> float:
@@ -87,8 +85,8 @@ def kl_q(s: float, r: float, q: int) -> float:
 
 def multinomial_exact(L: int, parts: Sequence[int]) -> int:
     """L! / prod(parts_i!) as an exact integer."""
-    if not all(isinstance(x, int) and x >= 0 for x in (L, *parts)):
-        raise ValidationError(f"multinomial needs nonnegative integers, got {L!r}, {parts!r}")
+    for x in (L, *parts):
+        integer(x, "multinomial arguments", 0, span="nonnegative integers")
     if sum(parts) != L:
         raise ValidationError(
             f"multinomial parts sum to {sum(parts)}, expected {L}"

@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, real
 from .qmath import entropy_q, q_ary_entropy
 
 __all__ = [
@@ -66,7 +66,7 @@ def implied_type_scan(p: float) -> ImpliedTypeScan:
     whole image, of dimension 3 - log2 |K|.  The returned minimum
     determines the random linear code threshold as 1 - min_ratio.
     """
-    if not 0.0 < p < 0.25:
+    if not 0.0 < (p := real(p, "p")) < 0.25:
         raise DomainError(f"p must lie in (0, 1/4), got {p}")
     tau = [p / 2.0] * 8
     tau[0] = tau[7] = (1.0 - 3.0 * p) / 2.0
@@ -84,6 +84,6 @@ def implied_type_scan(p: float) -> ImpliedTypeScan:
 
 def rlc_list_of_two_threshold(p: float) -> float:
     """Random linear code list-of-two threshold 1 - (h_2(3p) + 3p log_2 3)/2."""
-    if not 0.0 < p < 0.25:
+    if not 0.0 < (p := real(p, "p")) < 0.25:
         raise DomainError(f"p must lie in (0, 1/4), got {p}")
     return 1.0 - (q_ary_entropy(3.0 * p, 2) + 3.0 * p * math.log2(3.0)) / 2.0

@@ -67,7 +67,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, integer, real
 from .qmath import check_alphabet
 
 __all__ = [
@@ -119,19 +119,10 @@ class RandomCodeSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValidationError(f"rate must lie in [0, 1], got {self.rate}")
-        check_alphabet(self.q)
-        if self.q > 2**63:  # the largest bound rng.integers takes
-            raise ValidationError(f"sampling needs q <= 2**63, got {self.q}")
-        _check_seed(self.seed)
-
-
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        integer(self.n, "n", 1)
+        object.__setattr__(self, "rate", real(self.rate, "rate", 0.0, 1.0))  # stored as a float
+        integer(self.q, "q", 2, 2**63, "an integer in 2..2**63")  # rng.integers' largest bound
+        integer(self.seed, "seed", 0, 2**64 - 1, "an integer in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -288,9 +279,9 @@ def is_bad_tuple(
     exceeding the floor(p*n) budget are dropped.  Back-pointers reconstruct
     one witnessing assignment of K_i sets.  BudgetError past STATE_BUDGET state entries.
     """
-    _check_search(p, ell, len(columns), q)
+    p = _check_search(p, ell, q)
     cols = tuple(map(tuple, _code_array(columns, q).tolist()))
-    L, n = len(cols), len(cols[0])
+    L, n = integer(len(cols), "L", 1), len(cols[0])
 
     budget = math.floor(p * n)
     kept = 0  # state entries in the trace, as STATE_BUDGET counts them
@@ -330,13 +321,15 @@ def is_bad_tuple(
 
 def _code_array(code, q: int) -> np.ndarray:
     """The code as an (M, n) integer array of distinct words over 0..q-1."""
-    if len(code) == 0:
-        return np.empty((0, 0), dtype=np.uint8)
     try:
         arr = np.asarray(code)
     except ValueError as exc:
         raise ValidationError("codewords must share a common length") from exc
-    if arr.ndim != 2 or arr.shape[1] == 0 or arr.dtype.kind not in "iu":
+    if arr.shape[:1] == (0,):  # no words; None, an int or a generator gives a 0-d array
+        return np.empty((0, 0), dtype=np.uint8)
+    # numpy reads words mixing bools and ints as ints; an array's own dtype decides.
+    if arr.ndim != 2 or arr.shape[1] == 0 or arr.dtype.kind not in "iu" or arr is not code and (
+            {bool, np.bool_} & set(map(type, itertools.chain(*code)))):
         raise ValidationError("codewords must be nonempty integer words of one length")
     if arr.min() < 0 or arr.max() >= q:
         raise ValidationError(f"codeword symbols must lie in 0..{q - 1}")
@@ -499,10 +492,9 @@ def _first_bad_tuple(
     return extend([], list(range(len(arr))))
 
 
-def _check_search(p: float, ell: int, L: int, q: int) -> None:
+def _check_search(p: float, ell: int, q: int) -> float:
     check_alphabet(q, ell)
-    if not isinstance(L, int) or L < 1 or not 0.0 <= p <= 1.0:
-        raise ValidationError(f"need an integer L >= 1 and 0 <= p <= 1; got L={L!r}, p={p}")
+    return real(p, "p", 0.0, 1.0)
 
 
 def contains_bad_matrix(
@@ -520,7 +512,8 @@ def contains_bad_matrix(
     for every ell, BudgetError is raised once SUBSET_BUDGET, PAIR_BUDGET,
     STATE_BUDGET or DEPTH_BUDGET is passed.
     """
-    _check_search(p, ell, L, q)
+    p = _check_search(p, ell, q)
+    integer(L, "L", 1)
     cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q)
     return cert is not None, cert
 
@@ -555,11 +548,11 @@ def _run_block(args) -> int:
 def _interpolate_crossing(rates: Sequence[float], fractions: Sequence[float]) -> Optional[float]:
     """Rate where the fraction first passes 1/2, linearly interpolated."""
     if fractions and fractions[0] > 0.5:
-        return float(rates[0])
+        return rates[0]
     for i in range(len(rates) - 1):
         f0, f1 = fractions[i], fractions[i + 1]
         if f0 <= 0.5 < f1:
-            return float(rates[i] + (0.5 - f0) * (rates[i + 1] - rates[i]) / (f1 - f0))
+            return rates[i] + (0.5 - f0) * (rates[i + 1] - rates[i]) / (f1 - f0)
     return None
 
 
@@ -582,18 +575,20 @@ def empirical_threshold_sweep(
     blocks of trials per worker, largest n*rate first, and seeds each trial where
     it runs by trial_seed(base_seed, n, rate, trial): no worker count changes it.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
-    _check_search(p, ell, L, q)
-    _check_seed(base_seed)
-    if (0 in (len(n_list), len(rate_grid)) or len(set(n_list)) != len(n_list)
-            or any(a >= b for a, b in zip(rate_grid, rate_grid[1:]))):
+    integer(trials, "trials", 1)
+    p = _check_search(p, ell, q)
+    integer(L, "L", 1)
+    try:
+        empty = 0 in (len(n_list), len(rate_grid))
+    except TypeError:
+        raise ValidationError(f"need sequences of n and rates: {n_list!r}, {rate_grid!r}") from None
+    # Each spec checks its n, its rate (stored as a float), q and the seed.
+    specs = [RandomCodeSpec(n, rate, q, base_seed) for n in n_list for rate in rate_grid]
+    points, rates = [(s.n, s.rate) for s in specs], [s.rate for s in specs[: len(rate_grid)]]
+    if empty or len(set(n_list)) != len(n_list) or any(a >= b for a, b in zip(rates, rates[1:])):
         raise ValidationError(
             f"need distinct n, strictly increasing rates, neither empty: {n_list}, {rate_grid}"
         )
-    points = [(n, float(rate)) for n in n_list for rate in rate_grid]
-    for n, rate in points:
-        RandomCodeSpec(n, rate, q, 0)  # checks n, rate and q
     for n, rate in points:
         _expected_size(n, rate, q)
     if trials * len(points) > TRIAL_BUDGET:
@@ -619,7 +614,7 @@ def empirical_threshold_sweep(
     rows = [SweepRow(n, rate, trials, c, c / trials) for (n, rate), c in counts.items()]
     width = len(rate_grid)
     crossings = {
-        n: _interpolate_crossing(rate_grid, [r.fraction for r in rows[j * width :][:width]])
+        n: _interpolate_crossing(rates, [r.fraction for r in rows[j * width :][:width]])
         for j, n in enumerate(n_list)
     }
     return SweepReport(tuple(rows), crossings, base_seed, time.perf_counter() - t0)

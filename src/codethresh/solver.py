@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, integer, real
 from .levels import LevelProfile, LevelSetParams, level_profile
 from .qmath import check_alphabet, kl_q, q_ary_entropy
 
@@ -65,14 +65,13 @@ class ThresholdQuery:
 
     def __post_init__(self) -> None:
         check_alphabet(self.q, self.ell)
-        if not isinstance(self.L, int) or self.L < 2:
-            raise ValidationError(f"L must be an integer >= 2, got {self.L!r}")
+        integer(self.L, "L", 2)
+        for name in ("p", "epsilon"):  # stored as the float the rule returns
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not 0.0 <= self.p < 1.0:
             raise DomainError(f"p must lie in [0, 1), got {self.p}")
         if not 0.0 < self.epsilon < math.inf:
-            raise ValidationError(
-                f"epsilon must be positive and finite, got {self.epsilon}"
-            )
+            raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -253,7 +252,7 @@ def list_of_two_rc_threshold(p: float) -> float:
     Fixed to q = 2; valid for p in the open interval (0, 1/4), which is
     exactly where the threshold is positive.
     """
-    if not 0.0 < p < 0.25:
+    if not 0.0 < (p := real(p, "p")) < 0.25:
         raise DomainError(f"p must lie in (0, 1/4), got {p}")
     return 1.0 - (1.0 + q_ary_entropy(3.0 * p, 2) + 3.0 * p * math.log2(3.0)) / 3.0
 
@@ -288,7 +287,7 @@ def toy_property_rates(p: float) -> ToyRates:
     r_dagger is the actual threshold once structured triples are counted
     directly.  r_dagger exceeds r_theorem for p up to 0.3.
     """
-    if not 0.0 < p < 0.5:
+    if not 0.0 < (p := real(p, "p")) < 0.5:
         raise DomainError(f"p must lie in (0, 1/2), got {p}")
     r_theorem = 1.0 - (
         p * math.log2(2.0 / p**2) + (1.0 - 2.0 * p) * math.log2(1.0 / (1.0 - 2.0 * p))

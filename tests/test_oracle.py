@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import pathlib
 from decimal import Decimal
 
 import pytest
@@ -126,3 +127,13 @@ def test_oracle_imports_no_fast_path():
         "levels": {"LevelProfile", "LevelSetParams"},
         "qmath": {"multinomial_exact"},
     }
+
+
+def test_no_module_decides_integers_by_isinstance():
+    # isinstance(x, int) lets bool through; errors.integer decides integers for every module.
+    for path in sorted(pathlib.Path(codethresh.oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+                where = (path.name, node.lineno)
+                assert not any(getattr(k, "id", None) == "int" for k in kinds), where

@@ -230,7 +230,9 @@ def test_is_bad_tuple_validation():
         is_bad_tuple(((0, 2), (0, 1)), p=0.1, ell=1, q=2)  # symbol out of range
 
 
-@pytest.mark.parametrize("words", [[(0.5, 1), (1, 0)], [(True, False), (False, True)]])
+@pytest.mark.parametrize(
+    "words", [[(0.5, 1), (1, 0)], [(True, False), (False, True)], [(0, 1), (1, True)]]
+)
 def test_is_bad_tuple_takes_only_integer_symbols(words):
     # The DP and the whole-code search share one word rule.
     with pytest.raises(ValidationError):
