@@ -70,6 +70,11 @@ def kl_q(s: float, r: float, q: int) -> float:
     (giving log_q(1/r)); r must lie strictly inside (0, 1).
     """
     check_alphabet(q)
+    return _kl_q(s, r, q)
+
+
+def _kl_q(s: float, r: float, q: int) -> float:
+    """kl_q for an alphabet size q the caller has already checked."""
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"kl_q requires s in [0,1], got {s}")
     if not 0.0 < r < 1.0:

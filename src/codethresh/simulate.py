@@ -20,11 +20,16 @@ are present).
 
 Codes are lexicographically sorted (M, n) symbol arrays, and a row's bytes
 are its identity.  The DP's columns and the search's code follow one word
-rule: integer symbols in 0..q-1, one nonzero length, distinct words.  The
-sampler and that check both deduplicate words by a stable sort of a byte
-view of the rows, linear on sorted codes.  For every q, ell and n the search
-holds the code as ceil(log2 q) bit planes of ceil(n/64) uint64 words, and two
-words differ where the OR over the planes of their XOR is set.
+rule: integer symbols in 0..q-1, one nonzero length, distinct words.
+_code_array checks it once, where a caller's words enter is_bad_tuple or
+contains_bad_matrix.  A sweep's sampled codes keep it by construction and
+the DP's tuples are row subsets of a checked code, so the sweep and the
+search pass them on as _Checked views, which it takes as they are.  The
+sampler's rejection branch and that check deduplicate words by a stable
+sort of a byte view of the rows, linear on sorted codes.  For every q, ell
+and n the search holds the code as ceil(log2 q) bit planes of ceil(n/64)
+uint64 words, and two words differ where the OR over the planes of their
+XOR is set.
 Badness is hereditary: the K-sets of a bad tuple leave each of its
 sub-tuples bad.  So one depth-first search over ascending row prefixes,
 for every ell, extends a prefix only by rows with which each
@@ -170,9 +175,15 @@ def trial_seed(base_seed: int, n: int, rate: float, trial: int) -> int:
     """Deterministic per-trial seed, independent of execution order.
 
     Mixing function: numpy SeedSequence over the entropy tuple
-    (base_seed, n, round(rate * 1e9), trial).
+    (base_seed, n, round(rate * 1e9), trial).  ValidationError unless
+    base_seed is an int in [0, 2**64), n an int >= 1, trial an int >= 0 and
+    rate a real in [0, 1].
     """
-    ss = np.random.SeedSequence((base_seed & (2**64 - 1), n, round(rate * 1e9), trial))
+    integer(base_seed, "base_seed", 0, 2**64 - 1, "an integer in [0, 2**64)")
+    integer(n, "n", 1)
+    integer(trial, "trial", 0)
+    rate = real(rate, "rate", 0.0, 1.0)
+    ss = np.random.SeedSequence((base_seed, n, round(rate * 1e9), trial))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -319,8 +330,18 @@ def is_bad_tuple(
 # Whole-code search
 
 
+class _Checked(np.ndarray):
+    """Rows of a code already known to keep the word rule over the q at hand.
+
+    Only the sampler's codes and row subsets of a checked code carry this type,
+    so _code_array takes them without a second range check and distinctness sort.
+    """
+
+
 def _code_array(code, q: int) -> np.ndarray:
     """The code as an (M, n) integer array of distinct words over 0..q-1."""
+    if type(code) is _Checked:
+        return code.view(np.ndarray)
     try:
         arr = np.asarray(code)
     except ValueError as exc:
@@ -383,6 +404,7 @@ def _first_bad_tuple(
     n = arr.shape[1]
     limit = (ell + 1) * math.floor(p * n)
     planes = _bit_planes(arr, q)
+    checked = arr.view(_Checked)  # the DP's tuples are row subsets of it
     compared = 0  # pair tests so far, as PAIR_BUDGET counts them
 
     def pay(tests: int) -> None:
@@ -470,8 +492,8 @@ def _first_bad_tuple(
             raise BudgetError(f"more than {DEPTH_BUDGET} rows in a search tuple")
         need = L - len(prefix)
         if need == 1:
-            return next(filter(None, (is_bad_tuple(arr[prefix + [c]], p, ell, q) for c in cand)),
-                        None)
+            return next(filter(None, (is_bad_tuple(checked[prefix + [c]], p, ell, q)
+                                      for c in cand)), None)
         if rows is None and len(cand) >= need and len(prefix) >= ell - 1:
             rows, = pair_table(prefix, cand, need - 1)
         elif rows is None:  # each row leaves enough later ones for a full tuple
@@ -541,7 +563,7 @@ def _run_block(args) -> int:
     found = 0
     for t in range(first, stop):
         code = sample_random_code(RandomCodeSpec(n, rate, q, trial_seed(base_seed, n, rate, t)))
-        found += contains_bad_matrix(code, p, ell, L, q)[0]
+        found += contains_bad_matrix(code.view(_Checked), p, ell, L, q)[0]  # sampled valid
     return found
 
 

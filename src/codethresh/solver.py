@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError, integer, real
 from .levels import LevelProfile, LevelSetParams, level_profile
-from .qmath import check_alphabet, kl_q, q_ary_entropy
+from .qmath import _kl_q, check_alphabet, q_ary_entropy
 
 __all__ = [
     "ThresholdQuery",
@@ -258,10 +258,10 @@ def list_of_two_rc_threshold(p: float) -> float:
 
 
 def _kl_estimates(ps: Sequence[float], ell: int, L: int, q: int) -> tuple[list[float], float]:
-    """kl_estimate for each p of one (ell, L, q): the estimates, and their common band."""
+    """kl_estimate for each p of one checked (ell, L, q): the estimates, and their common band."""
     band = q * math.log(L) / L
     r = 1.0 - ell / q
-    return [0.0 if r <= 0.0 or p >= r else kl_q(p, r, q) for p in ps], band
+    return [0.0 if r <= 0.0 or p >= r else _kl_q(p, r, q) for p in ps], band
 
 
 def kl_estimate(query: ThresholdQuery) -> tuple[float, float]:

@@ -129,6 +129,19 @@ def test_oracle_imports_no_fast_path():
     }
 
 
+def test_only_the_public_entry_points_check_words():
+    # The word rule is checked once, where a caller's words enter the API; the
+    # sweep and the search pass their checked words on, so no check creeps back
+    # into the hot path.
+    users = set()
+    for path in sorted(pathlib.Path(codethresh.oracle.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if "_code_array" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    users.add((path.name, getattr(top, "name", None)))
+    assert users == {("simulate.py", "contains_bad_matrix"), ("simulate.py", "is_bad_tuple")}
+
+
 def test_no_module_decides_integers_by_isinstance():
     # isinstance(x, int) lets bool through; errors.integer decides integers for every module.
     for path in sorted(pathlib.Path(codethresh.oracle.__file__).parent.glob("*.py")):

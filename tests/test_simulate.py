@@ -55,8 +55,23 @@ def test_sweep_refuses_seeds_outside_64_bits(seed):
 def test_trial_seed_is_deterministic_and_spread():
     a = trial_seed(7, 10, 0.25, 3)
     assert a == trial_seed(7, 10, 0.25, 3)
+    # Recorded before trial_seed took the argument rule, which changed no valid seed.
+    assert [a, trial_seed(0, 1, 0, 0), trial_seed(2**64 - 1, 30, 1, 10**6)] == [
+        6914894377180939836, 5836529245451711556, 8297203781949033792]
     seeds = {trial_seed(7, n, r, t) for n in (5, 10) for r in (0.1, 0.2) for t in range(50)}
     assert len(seeds) == 200
+
+
+@pytest.mark.parametrize("args", [
+    (-1, 10, 0.2, 0), (2**64, 10, 0.2, 0), (True, 10, 0.2, 0), (np.uint64(1), 10, 0.2, 0),
+    (1.0, 10, 0.2, 0), (0, -3, 0.2, 0), (0, 0, 0.2, 0), (0, True, 0.2, 0), (0, 10.0, 0.2, 0),
+    (0, 10, -0.1, 0), (0, 10, 1.5, 0), (0, 10, math.nan, 0), (0, 10, True, 0), (0, 10, "0.2", 0),
+    (0, 10, None, 0), (0, 10, 0.2, -1), (0, 10, 0.2, 1.0), (0, 10, 0.2, False),
+])
+def test_trial_seed_refuses_what_the_argument_rule_refuses(args):
+    # -1 would alias 2**64 - 1 under a 64-bit mask, and True would alias 1.
+    with pytest.raises(ValidationError):
+        trial_seed(*args)
 
 
 def test_sampling_is_deterministic_and_sorted():
@@ -693,6 +708,66 @@ def test_sweep_matches_a_per_trial_loop(monkeypatch, workers):
     assert rep.crossings == crossings
     assert any(c is not None for c in crossings.values())
     assert len({r.satisfied for r in rep.rows}) > 2
+
+
+def test_a_sweep_checks_no_word_twice(monkeypatch):
+    # The word rule is checked where a caller's words enter the API.  A sweep
+    # hands the search its sampled codes, and the search hands the DP row
+    # subsets of its code, with no range check or distinctness sort again.
+    from codethresh import simulate
+
+    sampling, resorted, validated, dp_calls, results = [], [], [], [], []
+    real_sample, real_unique = simulate.sample_random_code, simulate._unique_rows
+    real_check, real_search = simulate._code_array, simulate.contains_bad_matrix
+    real_dp = simulate.is_bad_tuple
+
+    def sample(spec):
+        sampling.append(spec)
+        try:
+            return real_sample(spec)
+        finally:
+            sampling.pop()
+
+    def unique_rows(rows):
+        resorted.append(len(sampling) == 0)  # True outside the sampler's deduplication
+        return real_unique(rows)
+
+    def code_array(code, q):
+        validated.append(type(code) is not simulate._Checked)
+        return real_check(code, q)
+
+    monkeypatch.setattr(simulate, "sample_random_code", sample)
+    monkeypatch.setattr(simulate, "_unique_rows", unique_rows)
+    monkeypatch.setattr(simulate, "_code_array", code_array)
+    monkeypatch.setattr(simulate, "contains_bad_matrix",
+                        lambda *a: results.append(real_search(*a)) or results[-1])
+    monkeypatch.setattr(simulate, "is_bad_tuple", lambda *a: dp_calls.append(1) or real_dp(*a))
+    monkeypatch.setenv("CODE_THRESH_THREADS", "1")
+    # n = 8 samples by index (2**8 words); n = 23 by rejection, which deduplicates.
+    empirical_threshold_sweep([8, 23], [0.3, 0.5], 2, 0.25, 1, 3, 2, 1)
+    assert dp_calls and validated and resorted  # the DP ran; the sampler deduplicated
+    assert not any(validated) and not any(resorted)
+
+    certs = [cert for found, cert in results if found]
+    assert certs
+    for cert in certs:
+        assert cert.recheck()
+        values = [*itertools.chain(*cert.column_codewords, *cert.k_sets),
+                  *cert.violation_counts, cert.budget]
+        assert {type(v) for v in values} == {int}
+
+    # Every public entry point still checks the words a caller passes.
+    monkeypatch.undo()
+    for n in (8, 23):
+        assert type(sample_random_code(RandomCodeSpec(n, 0.3, 2, 1))) is np.ndarray
+    bad = {"duplicate": [[0, 1], [1, 0], [0, 1]], "out of range": [[0, 1], [1, 0], [2, 0]],
+           "bool": [[False, True], [True, False], [True, True]]}
+    for words in bad.values():
+        for given in (words, np.array(words)):
+            with pytest.raises(ValidationError):
+                contains_bad_matrix(given, p=0.5, ell=1, L=3, q=2)
+            with pytest.raises(ValidationError):
+                is_bad_tuple(given, p=0.5, ell=1, q=2)
 
 
 @pytest.mark.parametrize("rate", [math.nan, -0.1, 1.5])
