@@ -54,9 +54,9 @@ per prefix or block.  So an early stop wastes little.  PAIR_BUDGET is
 charged for the masks and for each block before they are built.  Each block
 counts the candidates its rows keep, and the walk skips with no call the rows
 left with too few for a full tuple.  SUBSET_BUDGET, PAIR_BUDGET, STATE_BUDGET
-and DEPTH_BUDGET cap a search at run time.  A sweep sends its one pool of
-resolve_workers() workers blocks of trials, largest expected code first, and
-each worker seeds the trials it runs.
+and DEPTH_BUDGET cap a search at run time.  A sweep deals blocks of trials,
+largest expected code first, to resolve_workers() helper processes that it
+forks and only coordinates, and each helper seeds the trials it runs.
 """
 
 from __future__ import annotations
@@ -545,8 +545,8 @@ def contains_bad_matrix(
 
 
 def resolve_workers() -> int:
-    """Worker count: CODE_THRESH_THREADS, else the CPU count, and never more than the CPUs."""
-    cpus = os.cpu_count() or 1
+    """Worker count: CODE_THRESH_THREADS, else the CPU count, at most the CPUs; 1 without fork."""
+    cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if not (env := os.environ.get("CODE_THRESH_THREADS")):
         return cpus
     try:
@@ -564,6 +564,43 @@ def _run_block(args) -> int:
     for t in range(first, stop):
         code = sample_random_code(RandomCodeSpec(n, rate, q, trial_seed(base_seed, n, rate, t)))
         found += contains_bad_matrix(code.view(_Checked), p, ell, L, q)[0]  # sampled valid
+    return found
+
+
+def _run_blocks(tasks: list, nworkers: int) -> list[int]:
+    """_run_block of each task: here for one worker, else in min(nworkers, len(tasks)) forks.
+
+    Helper w pickles ("ok", counts of tasks[w::stride]) or ("error", exc) down its own pipe
+    and ends by os._exit, flushing no inherited buffer.  The parent only reads the pipes as
+    they fill and raises a helper's error as it is; then it stops and reaps every helper."""
+    if (stride := min(nworkers, len(tasks))) < 2:
+        return list(map(_run_block, tasks))
+    import pickle, select, signal  # only a sweep that forks needs them
+    found, helpers = [0] * len(tasks), {}  # the read end of each helper's pipe: (w, pid)
+    try:
+        for w in range(stride):
+            r, wfd = os.pipe()
+            if (pid := os.fork()) == 0:  # the helper: it never returns
+                try:  # a blocking pipe takes all of each write
+                    os.write(wfd, pickle.dumps(("ok", [_run_block(t) for t in tasks[w::stride]])))
+                except BaseException as exc:  # the parent raises it
+                    os.write(wfd, pickle.dumps(("error", exc)))
+                finally:  # also when the except clause raises
+                    os._exit(0)
+            os.close(wfd)  # the helper alone holds it, so its exit ends the read
+            helpers[open(r, "rb")] = w, pid
+        while pending := [pipe for pipe in helpers if not pipe.closed]:
+            for pipe in select.select(pending, [], [])[0]:
+                with pipe:
+                    status, value = pickle.loads(pipe.read())
+                if status == "error":
+                    raise value
+                found[helpers[pipe][0] :: stride] = value
+    finally:
+        for pipe, (_, pid) in helpers.items():  # those not yet done need not finish
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
     return found
 
 
@@ -593,9 +630,9 @@ def empirical_threshold_sweep(
     Invalid parameters, a base_seed outside [0, 2**64), no or repeated n, no rates
     or rates outside [0, 1] or not strictly increasing, codes over SIZE_CAP, more
     than TRIAL_BUDGET trials in all and a bad CODE_THRESH_THREADS are refused before
-    any seeding or sampling.  The pool of resolve_workers() processes runs about 16
-    blocks of trials per worker, largest n*rate first, and seeds each trial where
-    it runs by trial_seed(base_seed, n, rate, trial): no worker count changes it.
+    any seeding or sampling.  resolve_workers() forked helpers (none for one) run about
+    16 blocks of trials per worker, largest n*rate first, and seed each trial where it
+    runs by trial_seed(base_seed, n, rate, trial): no worker count changes it.
     """
     integer(trials, "trials", 1)
     p = _check_search(p, ell, q)
@@ -618,20 +655,13 @@ def empirical_threshold_sweep(
     nworkers = resolve_workers()
 
     t0 = time.perf_counter()
-    # One pool, largest expected code q^{n*rate} first (Graham's LPT rule).
+    # Blocks of trials, largest expected code q^{n*rate} first (Graham's LPT rule).
     size = -(-trials * len(points) // (16 * nworkers))
     tasks = sorted(((n, rate, q, p, ell, L, base_seed, t, min(t + size, trials))
                     for n, rate in points for t in range(0, trials, size)),
                    key=lambda task: -task[0] * task[1])
-    if nworkers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            found = list(pool.map(_run_block, tasks))
-    else:
-        found = list(map(_run_block, tasks))
     counts = dict.fromkeys(points, 0)
-    for task, c in zip(tasks, found):
+    for task, c in zip(tasks, _run_blocks(tasks, nworkers)):
         counts[task[:2]] += c
     rows = [SweepRow(n, rate, trials, c, c / trials) for (n, rate), c in counts.items()]
     width = len(rate_grid)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -630,20 +633,21 @@ def test_sweep_is_reproducible_and_worker_independent(monkeypatch):
 
 
 def test_sweep_starts_one_worker_pool(monkeypatch):
-    started = []
+    from codethresh import simulate
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    started, forks = [], []
+    real_run, real_fork = simulate._run_blocks, os.fork
+    monkeypatch.setattr(simulate, "_run_blocks",
+                        lambda tasks, nworkers: started.append(nworkers) or real_run(tasks, nworkers))
+    # Forked helpers append to their own copies of ``forks``: only the parent's forks count.
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("CODE_THRESH_THREADS", "2")
     rep = empirical_threshold_sweep(
         n_list=[8, 10], rate_grid=[0.2, 0.5], trials=4,
         p=0.1, ell=1, L=3, q=2, base_seed=5,
     )
-    assert started == [2]
+    assert started == [2] and len(forks) == 2
     assert len(rep.rows) == 4
 
 
@@ -652,16 +656,12 @@ def test_sweep_sends_few_blocks_and_seeds_them_in_the_workers(monkeypatch, trial
     from codethresh import simulate
 
     submitted, seeded = [], []
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(1)
-            return super().submit(*args, **kwargs)
-
-    real = simulate.trial_seed
-    # Forked workers append to their own copies of ``seeded``: only the parent's calls count.
+    real_run, real = simulate._run_blocks, simulate.trial_seed
+    monkeypatch.setattr(simulate, "_run_blocks",
+                        lambda tasks, nworkers: submitted.extend(tasks) or real_run(tasks, nworkers))
+    # Forked helpers append to their own copies of ``seeded``: only the parent's calls count.
     monkeypatch.setattr(simulate, "trial_seed", lambda *a: seeded.append(a) or real(*a))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("CODE_THRESH_THREADS", "2")
     rep = empirical_threshold_sweep(
         n_list=[8, 10], rate_grid=[0.2, 0.5], trials=trials,
@@ -1050,32 +1050,119 @@ def test_bit_planes_stage_one_plane_at_a_time():
 
 
 def test_sweep_clamps_the_worker_count_to_the_cpus(monkeypatch):
-    # A process pool starts all its workers at the first submit.  This stand-in
-    # records the count and maps in-process, so nothing forks.
+    # The runner would fork one helper per worker.  This stand-in records the
+    # count and runs the blocks in process, so nothing forks.
+    from codethresh import simulate
+
     started = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return list(map(fn, tasks))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     kwargs = dict(n_list=[8, 10], rate_grid=[0.2, 0.5], trials=4,
                   p=0.1, ell=1, L=3, q=2, base_seed=5)
     monkeypatch.setenv("CODE_THRESH_THREADS", "1")
     serial = empirical_threshold_sweep(**kwargs)
+    monkeypatch.setattr(simulate, "_run_blocks", lambda tasks, nworkers: started.append(nworkers)
+                        or list(map(simulate._run_block, tasks)))
     monkeypatch.setenv("CODE_THRESH_THREADS", str(10**6))
     assert empirical_threshold_sweep(**kwargs).rows == serial.rows
     assert started == [2]
+
+
+def test_a_helper_error_reaches_the_caller_typed_and_leaves_no_helper(monkeypatch, capsys):
+    from codethresh import cli, simulate
+
+    monkeypatch.setattr(simulate, "SUBSET_BUDGET", 200)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    call = ([12, 16], [0.05, 0.15], 4, 0, 2, 3, 4, 0)
+    messages = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CODE_THRESH_THREADS", threads)
+        with pytest.raises(BudgetError, match="more than 200 candidate 3-tuples tested") as err:
+            empirical_threshold_sweep(*call)
+        messages.append(str(err.value))
+        with pytest.raises(ChildProcessError):  # every helper was reaped
+            os.waitpid(-1, os.WNOHANG)
+    assert messages[0] == messages[1]
+    code = cli.run(["simulate", "--n", "12", "16", "--rates", "0.05", "0.15", "--trials", "4",
+                    "--p", "0", "--ell", "2", "--L", "3", "--q", "4", "--seed", "0"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("budget exceeded:") and out.err.count("\n") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_helper_error_stops_the_helpers_still_running(monkeypatch):
+    # Helper 0 would sleep through its share; helper 1 fails at once.  The parent
+    # raises the first error it reads and kills helper 0 rather than wait for it.
+    from codethresh import simulate
+
+    def block(task):
+        time.sleep(30 if task == "slow" else 0)
+        raise BudgetError(f"{task} block")
+
+    monkeypatch.setattr(simulate, "_run_block", block)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match="fail block"):
+        simulate._run_blocks(["slow", "fail"], 2)
+    assert time.perf_counter() - t0 < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_resolve_workers_is_one_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")  # any fork the sweep tried would raise AttributeError
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("CODE_THRESH_THREADS", raising=False)
+    assert resolve_workers() == 1
+    monkeypatch.setenv("CODE_THRESH_THREADS", "2")
+    assert resolve_workers() == 1
+    rep = empirical_threshold_sweep([8, 10], [0.2, 0.5], 4, 0.1, 1, 3, 2, 5)
+    assert [r.trials for r in rep.rows] == [4] * 4
+    monkeypatch.setenv("CODE_THRESH_THREADS", "0")
+    with pytest.raises(ValidationError):
+        resolve_workers()
+
+
+def _fresh_two_worker_run(script: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter with stdout on a pipe and two workers.
+
+    The child counts its own forks and prints the count last, on stderr.
+    """
+    import codethresh
+
+    src = os.path.dirname(os.path.dirname(codethresh.__file__))
+    env = dict(os.environ, CODE_THRESH_THREADS="2", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    prologue = ("import os, sys\nos.cpu_count = lambda: 2\nforks, fork = [], os.fork\n"
+                "os.fork = lambda: forks.append(1) or fork()\n")
+    epilogue = "\nprint(len(forks), file=sys.stderr)\n"
+    return subprocess.run([sys.executable, "-c", prologue + script + epilogue],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+def test_a_forking_sweep_imports_no_process_pool():
+    proc = _fresh_two_worker_run(
+        "from codethresh.simulate import empirical_threshold_sweep\n"
+        "empirical_threshold_sweep([8, 10], [0.2, 0.5], 4, 0.1, 1, 3, 2, 5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    assert proc.returncode == 0 and proc.stderr == "2\n", proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_helpers_flush_no_output_they_inherit():
+    # The marker sits unflushed in the buffer every helper inherits.
+    proc = _fresh_two_worker_run(
+        "from codethresh import cli\n"
+        "print('marker', end='')\n"
+        "code = cli.run(['simulate', '--p', '0.1', '--ell', '1', '--L', '3', '--q', '2', '--n', "
+        "'8', '10', '--rates', '0.2', '0.5', '--trials', '4', '--seed', '5'])\n"
+        "assert code == 0"
+    )
+    assert proc.returncode == 0 and proc.stderr == "2\n", proc.stderr
+    assert proc.stdout.count("marker") == 1 and proc.stdout.startswith("marker")
+    assert json.loads(proc.stdout.removeprefix("marker"))["command"] == "simulate"  # one envelope
 
 
 @pytest.mark.parametrize(
