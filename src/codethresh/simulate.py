@@ -54,9 +54,8 @@ per prefix or block.  So an early stop wastes little.  PAIR_BUDGET is
 charged for the masks and for each block before they are built.  Each block
 counts the candidates its rows keep, and the walk skips with no call the rows
 left with too few for a full tuple.  SUBSET_BUDGET, PAIR_BUDGET, STATE_BUDGET
-and DEPTH_BUDGET cap a search at run time.  A sweep deals blocks of trials,
-largest expected code first, to resolve_workers() helper processes that it
-forks and only coordinates, and each helper seeds the trials it runs.
+and DEPTH_BUDGET cap a search at run time.  Each helper a sweep forks runs
+and seeds an equal run of every point's trials, largest expected code first.
 """
 
 from __future__ import annotations
@@ -558,31 +557,27 @@ def resolve_workers() -> int:
     return min(count, cpus)
 
 
-def _run_block(args) -> int:
-    n, rate, q, p, ell, L, base_seed, first, stop = args
-    found = 0
-    for t in range(first, stop):
-        code = sample_random_code(RandomCodeSpec(n, rate, q, trial_seed(base_seed, n, rate, t)))
-        found += contains_bad_matrix(code.view(_Checked), p, ell, L, q)[0]  # sampled valid
-    return found
-
-
-def _run_blocks(tasks: list, nworkers: int) -> list[int]:
-    """_run_block of each task: here for one worker, else in min(nworkers, len(tasks)) forks.
-
-    Helper w pickles ("ok", counts of tasks[w::stride]) or ("error", exc) down its own pipe
-    and ends by os._exit, flushing no inherited buffer.  The parent only reads the pipes as
-    they fill and raises a helper's error as it is; then it stops and reaps every helper."""
-    if (stride := min(nworkers, len(tasks))) < 2:
-        return list(map(_run_block, tasks))
+def _run_shares(share, stride: int) -> list[int]:
+    """share(w, stride) added element by element over w < stride: in process below stride 2,
+    else in one forked helper per share that pickles its counts or its error down a pipe and
+    ends by os._exit, flushing no inherited buffer.  The parent raises a helper's error as it is,
+    or BudgetError for a helper that cannot start or sends nothing readable; then it reaps all."""
+    if stride < 2:
+        return share(0, 1)
     import pickle, select, signal  # only a sweep that forks needs them
-    found, helpers = [0] * len(tasks), {}  # the read end of each helper's pipe: (w, pid)
+    shares, helpers = [], {}  # the read end of each helper's pipe: (w, pid)
     try:
         for w in range(stride):
-            r, wfd = os.pipe()
-            if (pid := os.fork()) == 0:  # the helper: it never returns
+            fds = ()
+            try:
+                fds = r, wfd = os.pipe()
+                pid = os.fork()
+            except OSError as exc:  # EMFILE, EAGAIN or ENOMEM, say
+                list(map(os.close, fds))
+                raise BudgetError(f"sweep helper {w} could not start: {exc}") from exc
+            if pid == 0:  # the helper: it never returns
                 try:  # a blocking pipe takes all of each write
-                    os.write(wfd, pickle.dumps(("ok", [_run_block(t) for t in tasks[w::stride]])))
+                    os.write(wfd, pickle.dumps(("ok", share(w, stride))))
                 except BaseException as exc:  # the parent raises it
                     os.write(wfd, pickle.dumps(("error", exc)))
                 finally:  # also when the except clause raises
@@ -592,16 +587,22 @@ def _run_blocks(tasks: list, nworkers: int) -> list[int]:
         while pending := [pipe for pipe in helpers if not pipe.closed]:
             for pipe in select.select(pending, [], [])[0]:
                 with pipe:
-                    status, value = pickle.loads(pipe.read())
-                if status == "error":
+                    data = pipe.read()
+                try:
+                    kind, value = pickle.loads(data)
+                except Exception:  # nothing, or a cut or unreadable pickle
+                    w, pid = helpers.pop(pipe)  # reaped here, for its wait status
+                    raise BudgetError(f"sweep helper {w} sent no result (wait status "
+                                      f"{os.waitpid(pid, 0)[1]})") from None
+                if kind == "error":
                     raise value
-                found[helpers[pipe][0] :: stride] = value
+                shares.append(value)
     finally:
         for pipe, (_, pid) in helpers.items():  # those not yet done need not finish
             os.kill(pid, signal.SIGKILL)
             pipe.close()
             os.waitpid(pid, 0)
-    return found
+    return list(map(sum, zip(*shares)))
 
 
 def _interpolate_crossing(rates: Sequence[float], fractions: Sequence[float]) -> Optional[float]:
@@ -630,9 +631,8 @@ def empirical_threshold_sweep(
     Invalid parameters, a base_seed outside [0, 2**64), no or repeated n, no rates
     or rates outside [0, 1] or not strictly increasing, codes over SIZE_CAP, more
     than TRIAL_BUDGET trials in all and a bad CODE_THRESH_THREADS are refused before
-    any seeding or sampling.  resolve_workers() forked helpers (none for one) run about
-    16 blocks of trials per worker, largest n*rate first, and seed each trial where it
-    runs by trial_seed(base_seed, n, rate, trial): no worker count changes it.
+    any seeding or sampling.  Each forked helper runs an equal run of every point's trials,
+    largest n*rate first, seeded by trial_seed(base_seed, n, rate, trial): rows ignore workers.
     """
     integer(trials, "trials", 1)
     p = _check_search(p, ell, q)
@@ -652,21 +652,19 @@ def empirical_threshold_sweep(
         _expected_size(n, rate, q)
     if trials * len(points) > TRIAL_BUDGET:
         raise BudgetError(f"{trials} trials x {len(points)} points exceed the cap {TRIAL_BUDGET}")
-    nworkers = resolve_workers()
+
+    def share(w: int, stride: int) -> list[int]:
+        # Largest expected code q^{n*rate} first: in the given order a helper peaks higher.
+        found = dict.fromkeys(points, 0)  # counts in point order
+        run = range(trials * w // stride, trials * (w + 1) // stride)  # helper w's equal run
+        for (n, rate), t in itertools.product(sorted(points, key=lambda pt: -pt[0] * pt[1]), run):
+            code = sample_random_code(RandomCodeSpec(n, rate, q, trial_seed(base_seed, n, rate, t)))
+            found[n, rate] += contains_bad_matrix(code.view(_Checked), p, ell, L, q)[0]
+        return list(found.values())
 
     t0 = time.perf_counter()
-    # Blocks of trials, largest expected code q^{n*rate} first (Graham's LPT rule).
-    size = -(-trials * len(points) // (16 * nworkers))
-    tasks = sorted(((n, rate, q, p, ell, L, base_seed, t, min(t + size, trials))
-                    for n, rate in points for t in range(0, trials, size)),
-                   key=lambda task: -task[0] * task[1])
-    counts = dict.fromkeys(points, 0)
-    for task, c in zip(tasks, _run_blocks(tasks, nworkers)):
-        counts[task[:2]] += c
-    rows = [SweepRow(n, rate, trials, c, c / trials) for (n, rate), c in counts.items()]
-    width = len(rate_grid)
-    crossings = {
-        n: _interpolate_crossing(rates, [r.fraction for r in rows[j * width :][:width]])
-        for j, n in enumerate(n_list)
-    }
+    counts = _run_shares(share, min(resolve_workers(), trials))
+    rows = [SweepRow(n, rate, trials, c, c / trials) for (n, rate), c in zip(points, counts)]
+    crossings = {n: _interpolate_crossing(rates, [r.fraction for r in rows if r.n == n])
+                 for n in n_list}
     return SweepReport(tuple(rows), crossings, base_seed, time.perf_counter() - t0)

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -636,9 +637,9 @@ def test_sweep_starts_one_worker_pool(monkeypatch):
     from codethresh import simulate
 
     started, forks = [], []
-    real_run, real_fork = simulate._run_blocks, os.fork
-    monkeypatch.setattr(simulate, "_run_blocks",
-                        lambda tasks, nworkers: started.append(nworkers) or real_run(tasks, nworkers))
+    real_run, real_fork = simulate._run_shares, os.fork
+    monkeypatch.setattr(simulate, "_run_shares",
+                        lambda share, stride: started.append(stride) or real_run(share, stride))
     # Forked helpers append to their own copies of ``forks``: only the parent's forks count.
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -652,13 +653,13 @@ def test_sweep_starts_one_worker_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("trials", [4, 400])
-def test_sweep_sends_few_blocks_and_seeds_them_in_the_workers(monkeypatch, trials):
+def test_sweep_runs_one_share_per_helper_and_seeds_it_in_the_helpers(monkeypatch, trials):
     from codethresh import simulate
 
-    submitted, seeded = [], []
-    real_run, real = simulate._run_blocks, simulate.trial_seed
-    monkeypatch.setattr(simulate, "_run_blocks",
-                        lambda tasks, nworkers: submitted.extend(tasks) or real_run(tasks, nworkers))
+    strides, seeded = [], []
+    real_run, real = simulate._run_shares, simulate.trial_seed
+    monkeypatch.setattr(simulate, "_run_shares",
+                        lambda share, stride: strides.append(stride) or real_run(share, stride))
     # Forked helpers append to their own copies of ``seeded``: only the parent's calls count.
     monkeypatch.setattr(simulate, "trial_seed", lambda *a: seeded.append(a) or real(*a))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -667,7 +668,7 @@ def test_sweep_sends_few_blocks_and_seeds_them_in_the_workers(monkeypatch, trial
         n_list=[8, 10], rate_grid=[0.2, 0.5], trials=trials,
         p=0.1, ell=1, L=3, q=2, base_seed=5,
     )
-    assert 0 < len(submitted) <= 16 * 2 + len(rep.rows)
+    assert strides == [2]
     assert seeded == []
     assert [r.trials for r in rep.rows] == [trials] * 4
 
@@ -684,7 +685,8 @@ def _crossing_by_hand(rates, fractions):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sweep_matches_a_per_trial_loop(monkeypatch, workers):
-    # 11 trials per point fall into blocks of 5, 3 and 2 trials for 1, 2 and 3 workers.
+    # Each helper runs its equal run of the 11 trials of each point: 5 and 6 for
+    # 2 workers, 3, 4 and 4 for 3 (where there are 3 CPUs).
     # Rates near both crossings, so most counts lie strictly between 0 and 11.
     n_list, rates, trials, seed = [12, 16], [0.4, 0.45, 0.5], 11, 1
     search = dict(p=0.1, ell=1, L=3, q=2)
@@ -1050,8 +1052,8 @@ def test_bit_planes_stage_one_plane_at_a_time():
 
 
 def test_sweep_clamps_the_worker_count_to_the_cpus(monkeypatch):
-    # The runner would fork one helper per worker.  This stand-in records the
-    # count and runs the blocks in process, so nothing forks.
+    # The runner would fork one helper per share.  This stand-in records the
+    # count and runs the shares in process, so nothing forks.
     from codethresh import simulate
 
     started = []
@@ -1060,8 +1062,8 @@ def test_sweep_clamps_the_worker_count_to_the_cpus(monkeypatch):
                   p=0.1, ell=1, L=3, q=2, base_seed=5)
     monkeypatch.setenv("CODE_THRESH_THREADS", "1")
     serial = empirical_threshold_sweep(**kwargs)
-    monkeypatch.setattr(simulate, "_run_blocks", lambda tasks, nworkers: started.append(nworkers)
-                        or list(map(simulate._run_block, tasks)))
+    monkeypatch.setattr(simulate, "_run_shares", lambda share, stride: started.append(stride)
+                        or list(map(sum, zip(*(share(w, stride) for w in range(stride))))))
     monkeypatch.setenv("CODE_THRESH_THREADS", str(10**6))
     assert empirical_threshold_sweep(**kwargs).rows == serial.rows
     assert started == [2]
@@ -1096,17 +1098,88 @@ def test_a_helper_error_stops_the_helpers_still_running(monkeypatch):
     # raises the first error it reads and kills helper 0 rather than wait for it.
     from codethresh import simulate
 
-    def block(task):
-        time.sleep(30 if task == "slow" else 0)
-        raise BudgetError(f"{task} block")
+    def share(w, stride):
+        time.sleep(30 if w == 0 else 0)
+        raise BudgetError(f"share {w} of {stride}")
 
-    monkeypatch.setattr(simulate, "_run_block", block)
     t0 = time.perf_counter()
-    with pytest.raises(BudgetError, match="fail block"):
-        simulate._run_blocks(["slow", "fail"], 2)
+    with pytest.raises(BudgetError, match="share 1 of 2"):
+        simulate._run_shares(share, 2)
     assert time.perf_counter() - t0 < 10
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failure", ["killed", "fork refused"])
+def test_a_helper_with_no_result_raises_budget_error_and_leaves_no_helper(monkeypatch, failure):
+    # Helper 1 is SIGKILLed (as by the OOM killer) before it sends anything, or the
+    # second fork fails; helper 0 sends its counts.  The parent raises BudgetError,
+    # not EOFError or the OSError, and closes every pipe and reaps every helper.
+    from codethresh import simulate
+
+    def share(w, stride):
+        if w == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [w]
+
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError("fork refused")
+        return real_fork()
+
+    if failure == "fork refused":
+        monkeypatch.setattr(os, "fork", fork)
+        message = r"sweep helper 1 could not start: fork refused"
+    else:
+        message = rf"sweep helper 1 sent no result \(wait status {int(signal.SIGKILL)}\)"
+    fds = sorted(os.listdir("/dev/fd"))
+    with pytest.raises(BudgetError, match=message):
+        simulate._run_shares(share, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/dev/fd")) == fds
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_the_shares_partition_the_trials(monkeypatch, stride):
+    # An in-process stand-in runs each share in turn; trial_seed records, per share,
+    # the (n, rate, trial) it seeds in call order.
+    from codethresh import simulate
+
+    kwargs = dict(n_list=[8, 10], rate_grid=[0.2, 0.5], trials=11,
+                  p=0.1, ell=1, L=3, q=2, base_seed=5)
+    monkeypatch.setenv("CODE_THRESH_THREADS", "1")
+    serial = empirical_threshold_sweep(**kwargs)
+    shares, real = [], simulate.trial_seed
+
+    def run(share, count):
+        assert count == stride
+        counts = []
+        for w in range(count):
+            shares.append([])
+            counts.append(share(w, count))
+        return list(map(sum, zip(*counts)))
+
+    monkeypatch.setattr(simulate, "_run_shares", run)
+    monkeypatch.setattr(simulate, "trial_seed", lambda *a: shares[-1].append(a[1:]) or real(*a))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("CODE_THRESH_THREADS", str(stride))
+    assert empirical_threshold_sweep(**kwargs).rows == serial.rows
+    points = [(n, rate) for n in (8, 10) for rate in (0.2, 0.5)]
+    seeded = sorted(itertools.chain(*shares))
+    assert seeded == sorted((n, rate, t) for n, rate in points for t in range(11))
+    for w, calls in enumerate(shares):
+        runs = [(point, [t for *_, t in group])
+                for point, group in itertools.groupby(calls, key=lambda call: call[:2])]
+        # Each point once, largest n*rate first, as one run of this share's trials.
+        assert sorted(point for point, _ in runs) == sorted(points)
+        assert [n * rate for (n, rate), _ in runs] == sorted((n * r for n, r in points), reverse=True)
+        for _, ts in runs:
+            assert ts == list(range(11 * w // stride, 11 * (w + 1) // stride))
+            assert len(ts) in (11 // stride, -(-11 // stride))
 
 
 def test_resolve_workers_is_one_without_fork(monkeypatch):
