@@ -25,8 +25,9 @@ _code_array checks it once, where a caller's words enter is_bad_tuple or
 contains_bad_matrix.  A sweep's sampled codes keep it by construction and
 the DP's tuples are row subsets of a checked code, so the sweep and the
 search pass them on as _Checked views, which it takes as they are.  The
-sampler's rejection branch and that check deduplicate words by a stable
-sort of a byte view of the rows, linear on sorted codes.  For every q, ell
+sampler's rejection branch and that check deduplicate words by a base-b int64
+key per row (b: the largest symbol + 1) from 128 rows with b^n < 2^63, else
+by a stable sort of their bytes, linear on sorted codes.  For every q, ell
 and n the search holds the code as ceil(log2 q) bit planes of ceil(n/64)
 uint64 words, and two words differ where the OR over the planes of their
 XOR is set.
@@ -187,15 +188,21 @@ def trial_seed(base_seed: int, n: int, rate: float, trial: int) -> int:
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows, sorted by their bytes (lexicographic for unsigned big-endian symbols)."""
+    """Distinct rows of symbols >= 0, sorted by a base-b int64 key each from 128 rows on where
+    b^n < 2^63 (b: the largest symbol + 1), else by bytes (lexicographic if unsigned big-endian)."""
     rows = np.ascontiguousarray(rows)
-    flat = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    # Timsort: linear on sorted codes. np.sort raises MemoryError past ~90 kB rows.
-    flat = flat[np.argsort(flat, kind="stable")]
-    keep = np.ones(len(flat), bool)
-    keep[1:] = flat[1:] != flat[:-1]
-    flat = flat[keep]
-    return flat.view(rows.dtype).reshape(len(flat), rows.shape[1])
+    count, n = rows.shape
+    # Keys win from about 128 rows; below, bytes sort as fast and fault in no matmul or quicksort.
+    if count >= 128 and (b := int(rows.max()) + 1) ** n < 2**63:
+        keys = np.matmul(rows, b ** np.arange(n - 1, -1, -1, dtype=np.int64), dtype=np.int64)
+        order = np.argsort(keys)
+    else:  # Timsort: linear on sorted codes. np.sort raises MemoryError past ~90 kB rows.
+        keys = rows.view(np.dtype((np.void, n * rows.itemsize))).ravel()
+        order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    keep = np.ones(count, bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return rows[order[keep]]
 
 
 def _expected_size(n: int, rate: float, q: int) -> float:
@@ -217,9 +224,11 @@ def sample_random_code(spec: RandomCodeSpec) -> np.ndarray:
     The count M ~ Binomial(q^n, q^{-n(1-R)}) is sampled first (exactly, for
     spaces within 64-bit range; via the Poisson limit beyond, where the
     total-variation gap is below 1e-18 at any size passing the memory cap),
-    then M distinct uniform words are drawn by rejection.  Returned as an
-    (M, n) array of symbols with rows in lexicographic order, so the word
-    order carries no information.
+    then M distinct uniform words are drawn: past 2^22 words by rejection,
+    deduplicated by an integer key per word below 2^63 words (from 128 words
+    on), else by their bytes.
+    Returned as an (M, n) array of symbols with rows in lexicographic order,
+    so the word order carries no information.
     """
     n, q, rate = spec.n, spec.q, spec.rate
     expected = _expected_size(n, rate, q)
@@ -237,15 +246,13 @@ def sample_random_code(spec: RandomCodeSpec) -> np.ndarray:
 
     # Rejection: the space dwarfs m, so collisions are rare.
     words = np.empty((0, n), dtype=dtype)
-    while len(words) < m:
-        batch = rng.integers(0, q, size=(m - len(words), n))
-        words = _unique_rows(np.concatenate([words, batch], dtype=dtype, casting="unsafe"))
+    while len(words) < m:  # the int64 draws are freed before the sort
+        words = _unique_rows(np.concatenate(
+            [words, rng.integers(0, q, size=(m - len(words), n))], dtype=dtype, casting="unsafe"))
     return words
 
 
-def _coverage_patterns(
-    syms: tuple[int, ...], ell: int, q: int
-) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
+def _coverage_patterns(syms: tuple[int, ...], ell: int, q: int) -> tuple:
     """Distinct per-coordinate transitions: (miss indicator per column, K).
 
     Only subsets of the symbols present in this coordinate matter; any
@@ -266,9 +273,7 @@ def _coverage_patterns(
 
 
 @functools.lru_cache(maxsize=4096)
-def _pattern_listing(
-    syms: tuple[int, ...], ell: int, q: int
-) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
+def _pattern_listing(syms: tuple[int, ...], ell: int, q: int) -> tuple:
     """_coverage_patterns' listing, shared by every is_bad_tuple call."""
     present = sorted(set(syms))
     absent = (s for s in range(q) if s not in present)
@@ -295,15 +300,17 @@ def is_bad_tuple(
 
     budget = math.floor(p * n)
     kept = 0  # state entries in the trace, as STATE_BUDGET counts them
-    start = (0,) * L
-    states: set[tuple[int, ...]] = {start}
-    trace: list[dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]]] = []
-    patterns: dict[tuple[int, ...], tuple] = {}  # per distinct symbol column, this call only
+    states = {(0,) * L}
+    trace = []  # per coordinate, {state: (its state before, the K that led to it)}
+    patterns = {}  # per distinct symbol column, this call only
     for syms in zip(*cols):
         if syms not in patterns:
             patterns[syms] = _coverage_patterns(syms, ell, q)
-        step: dict[tuple[int, ...], tuple[tuple[int, ...], frozenset[int]]] = {}
+        step = {}
         for miss, k_set in patterns[syms]:
+            if not any(miss):  # the only pattern: every state carries over
+                step = {st: (st, k_set) for st in states}
+                continue
             for st in states:
                 nxt = tuple(map(operator.add, st, miss))
                 if max(nxt) <= budget and nxt not in step:
@@ -316,9 +323,8 @@ def is_bad_tuple(
         trace.append(step)
         states = set(step)
 
-    final = min(states)
-    k_sets: list[frozenset[int]] = []
-    state = final
+    state = final = min(states)
+    k_sets = []
     for step in reversed(trace):
         state, k_set = step[state]
         k_sets.append(k_set)
@@ -510,7 +516,10 @@ def _first_bad_tuple(
             tested = charge(start, len(cand), len(cand))
         return None
 
-    return extend([], list(range(len(arr))))
+    try:
+        return extend([], np.arange(len(arr)))
+    finally:  # extend calls itself: a cycle that would keep this search's arrays until gc
+        del extend
 
 
 def _check_search(p: float, ell: int, q: int) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -169,6 +170,63 @@ def test_unique_rows_on_rows_wider_than_a_void_sort_takes():
     rows[0, -1], rows[1, -1] = 1, 0
     out = _unique_rows(rows[[2, 0, 1, 0]])
     assert list(map(tuple, out.tolist())) == sorted(set(map(tuple, rows.tolist())))
+
+
+# Each case sits on one side of q^n = 2^63, where one int64 key per row stops
+# fitting; rows hold the symbol q - 1, so the key's base is q.
+KEY_EDGE_CASES = [(2, 62), (2, 63), (3, 39), (3, 40), (4, 31), (4, 32), (256, 7), (256, 8),
+                  (300, 7), (300, 8)]
+
+
+@pytest.mark.parametrize("q, n", KEY_EDGE_CASES, ids=[f"{q}-{n}" for q, n in KEY_EDGE_CASES])
+def test_unique_rows_sorts_by_integer_key_below_2_63(monkeypatch, q, n):
+    # 128 rows or more sort by key below 2^63 and by their bytes beyond it, fewer
+    # always by their bytes.  Every order is lexicographic for the sampler's dtype
+    # (uint8 or >u8); the byte order of int64 rows is not, so only their set is
+    # checked there.
+    sampled, keyed = np.dtype(np.uint8 if q <= 256 else ">u8"), q**n < 2**63
+    rows = np.random.default_rng(7 * q + n).integers(0, q, size=(150, n))
+    rows[0, 0], rows[1] = q - 1, rows[2]
+    rows[3:6] = rows[:3]
+    rows[6, -1] = (rows[5, -1] + 1) % q  # rows 5 and 6 differ in the last symbol only
+    ordered = np.unique(rows, axis=0)
+    sorted_kinds, kinds, real_argsort = [], [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, **kw: sorted_kinds.append(a.dtype.kind)
+                        or real_argsort(a, **kw))
+    for case in (rows, ordered, ordered[::-1], np.repeat(ordered, 2, axis=0), rows[:127]):
+        want = sorted(set(map(tuple, case.tolist())))
+        by_key = keyed and len(case) >= 128
+        for dtype in (sampled, np.dtype(np.int64)):
+            out = _unique_rows(case.astype(dtype))
+            got = list(map(tuple, out.tolist()))
+            assert out.dtype == dtype
+            assert got == want if by_key or dtype == sampled else sorted(got) == want
+            kinds.append("i" if by_key else "V")
+    assert sorted_kinds == kinds  # one argsort per call: of int64 keys or of the byte view
+
+
+def _byte_view_sample(spec):
+    # sample_random_code's draws, repeated from its seed, deduplicated by np.unique.
+    n, q, rate = spec.n, spec.q, spec.rate
+    rng = np.random.default_rng(spec.seed)
+    m = int(rng.binomial(q**n, float(q) ** -(n * (1.0 - rate))))
+    words, batches = np.empty((0, n), np.uint8), 0
+    while len(words) < m:
+        batch = rng.integers(0, q, size=(m - len(words), n)).astype(np.uint8)
+        words, batches = np.unique(np.concatenate([words, batch]), axis=0), batches + 1
+    return words, batches
+
+
+# q^n just below 2^63 at q = 2 and q = 3, and a q = 3 spec whose seed was picked
+# so that the first batch has a collision and a second batch is drawn.
+@pytest.mark.parametrize("key, batches", [((62, 0.15, 2, 1), 1), ((39, 0.15, 3, 2), 1),
+                                          ((14, 0.5, 3, 0), 2)])
+def test_sampler_key_path_matches_a_byte_view_reference(key, batches):
+    spec = RandomCodeSpec(*key)
+    expected, drawn = _byte_view_sample(spec)
+    code = sample_random_code(spec)
+    assert drawn == batches and len(code) > 500
+    assert code.dtype == np.uint8 and np.array_equal(code, expected)
 
 
 def test_sample_mean_size_matches_binomial():
@@ -1017,6 +1075,63 @@ def test_badness_dp_charges_the_states_it_keeps(monkeypatch):
     monkeypatch.setattr(simulate, "STATE_BUDGET", 9)
     with pytest.raises(BudgetError, match="more than 9 badness DP state entries"):
         is_bad_tuple(cols, p=1.0, ell=1, q=2)
+
+
+@pytest.mark.parametrize("q, ell", [(2, 1), (4, 2)])
+def test_badness_dp_carries_states_over_covered_coordinates(monkeypatch, q, ell):
+    # Where at most ell symbols are present, one pattern misses no column: the DP
+    # carries its states over, and the certificate's K is that coordinate's
+    # symbols, padded with the smallest absent ones.
+    from codethresh import simulate
+
+    rng = np.random.default_rng(40 + q)
+    n, L, p = 40, 3, 0.1
+    cols = np.repeat(rng.integers(0, q, size=(1, n)), L, axis=0)
+    spread = rng.choice(n, size=8, replace=False)  # the other 32 coordinates are covered
+    cols[:, spread] = rng.integers(0, q, size=(L, 8))
+    cols = tuple(map(tuple, cols.tolist()))
+    cert = is_bad_tuple(cols, p=p, ell=ell, q=q)
+    assert cert is not None and cert.recheck()
+    covered = 0
+    for syms, k_set in zip(zip(*cols), cert.k_sets):
+        present = set(syms)
+        if len(present) <= ell:
+            pad = [s for s in range(q) if s not in present][: ell - len(present)]
+            assert k_set == present | set(pad)
+            covered += 1
+    assert 32 <= covered < n
+
+    # The charge: L entries per state kept, recounted over every choice of K
+    # among the present symbols, as in test_badness_dp_charges_the_states_it_keeps.
+    budget, states, kept = math.floor(p * n), {(0,) * L}, 0
+    for syms in zip(*cols):
+        present = sorted(set(syms))
+        cores = list(itertools.combinations(present, min(ell, len(present))))
+        states = {nxt for st in states for core in cores
+                  if max(nxt := tuple(c + (s not in core) for c, s in zip(st, syms))) <= budget}
+        kept += L * len(states)
+    monkeypatch.setattr(simulate, "STATE_BUDGET", kept)
+    assert is_bad_tuple(cols, p=p, ell=ell, q=q) == cert
+    monkeypatch.setattr(simulate, "STATE_BUDGET", kept - 1)
+    with pytest.raises(BudgetError, match=f"more than {kept - 1} badness DP state entries"):
+        is_bad_tuple(cols, p=p, ell=ell, q=q)
+
+
+@pytest.mark.parametrize("key, p, ell, found", [((30, 0.3, 2, 1), 0.1, 1, True),
+                                               ((30, 0.3, 2, 1), 0.0, 1, False),
+                                               ((12, 0.15, 4, 1), 0.0, 2, True)],
+                         ids=["ell1-found", "ell1-none", "ell2-found"])
+def test_a_search_leaves_no_cyclic_garbage(key, p, ell, found):
+    # The walk's recursive closure would keep each search's bit planes and
+    # tables alive until the cycle collector ran, raising a sweep helper's peak.
+    code = sample_random_code(RandomCodeSpec(*key))
+    gc.disable()
+    try:
+        gc.collect()
+        assert contains_bad_matrix(code, p, ell, 3, key[2])[0] == found
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_depth_budget_charges_the_tuples_the_search_builds(monkeypatch):
