@@ -109,7 +109,9 @@ def level_profile(params: LevelSetParams) -> LevelProfile:
     last part is forced, so its leaf is added in the loop, not by a call.
     """
     q, ell, L = params.q, params.ell, params.L
-    bits = (L + 1) * L * math.log2(q)
+    # log2(q) >= 1, so from L = COUNT_BITS_BUDGET on, where (L + 1) * L may pass the floats,
+    # the bits pass the budget too.
+    bits = (L + 1) * L * math.log2(q) if L < COUNT_BITS_BUDGET else math.inf
     if bits > COUNT_BITS_BUDGET:
         raise BudgetError(
             f"profile for q={q}, L={L} may hold {bits:.3g} bits of counts, "

@@ -28,9 +28,9 @@ search pass them on as _Checked views, which it takes as they are.  The
 sampler's rejection branch and that check deduplicate words by a base-b int64
 key per row (b: the largest symbol + 1) from 128 rows with b^n < 2^63, else
 by a stable sort of their bytes, linear on sorted codes.  For every q, ell
-and n the search holds the code as ceil(log2 q) bit planes of ceil(n/64)
-uint64 words, and two words differ where the OR over the planes of their
-XOR is set.
+and n the search holds the code as ceil(log2 q) bit planes, at most one per
+bit of the code's integer type, of ceil(n/64) uint64 words, and two words
+differ where the OR over the planes of their XOR is set.
 Badness is hereditary: the K-sets of a bad tuple leave each of its
 sub-tuples bad.  So one depth-first search over ascending row prefixes,
 for every ell, extends a prefix only by rows with which each
@@ -252,29 +252,16 @@ def sample_random_code(spec: RandomCodeSpec) -> np.ndarray:
     return words
 
 
-def _coverage_patterns(syms: tuple[int, ...], ell: int, q: int) -> tuple:
-    """Distinct per-coordinate transitions: (miss indicator per column, K).
+@functools.lru_cache(maxsize=4096)
+def _pattern_listing(syms: tuple[int, ...], ell: int, q: int) -> tuple:
+    """Distinct transitions of one symbol column: (miss indicator per column, K).
 
     Only subsets of the symbols present in this coordinate matter; any
     size-ell set acts through its intersection with them, and supersets
     dominate, so taking min(ell, #present) of the present symbols is
     exhaustive up to domination.  When fewer than ell symbols are present,
     K is padded to ell symbols with the smallest absent ones of 0..q-1.
-    BudgetError, before any is listed or looked up, when their count times
-    the columns passes STATE_BUDGET.
     """
-    present = len(set(syms))
-    if (count := math.comb(present, min(ell, present))) * len(syms) > STATE_BUDGET:
-        raise BudgetError(f"{count} coverage patterns of {len(syms)} columns pass "
-                          f"{STATE_BUDGET} badness DP state entries")
-    # Only small listings are kept, so the cache holds a few MB at most.
-    listing = _pattern_listing if count * len(syms) <= 64 else _pattern_listing.__wrapped__
-    return listing(syms, ell, q)
-
-
-@functools.lru_cache(maxsize=4096)
-def _pattern_listing(syms: tuple[int, ...], ell: int, q: int) -> tuple:
-    """_coverage_patterns' listing, shared by every is_bad_tuple call."""
     present = sorted(set(syms))
     absent = (s for s in range(q) if s not in present)
     pad = frozenset(itertools.islice(absent, max(0, ell - len(present))))
@@ -304,8 +291,14 @@ def is_bad_tuple(
     trace = []  # per coordinate, {state: (its state before, the K that led to it)}
     patterns = {}  # per distinct symbol column, this call only
     for syms in zip(*cols):
-        if syms not in patterns:
-            patterns[syms] = _coverage_patterns(syms, ell, q)
+        if syms not in patterns:  # counted against STATE_BUDGET before they are listed
+            present = len(set(syms))
+            if (count := math.comb(present, min(ell, present))) * L > STATE_BUDGET:
+                raise BudgetError(f"{count} coverage patterns of {L} columns pass "
+                                  f"{STATE_BUDGET} badness DP state entries")
+            # Only small listings are cached, so the cache holds a few MB at most.
+            listing = _pattern_listing if count * L <= 64 else _pattern_listing.__wrapped__
+            patterns[syms] = listing(syms, ell, q)
         step = {}
         for miss, k_set in patterns[syms]:
             if not any(miss):  # the only pattern: every state carries over
@@ -369,7 +362,7 @@ def _bit_planes(arr: np.ndarray, q: int) -> np.ndarray:
     count, n = arr.shape
     bits = np.zeros((count, 64 * -(-n // 64)), np.uint8)  # one plane, a byte per bit
     planes = []
-    for k in range((q - 1).bit_length()):  # q >= 2
+    for k in range(min((q - 1).bit_length(), 8 * arr.itemsize)):  # q >= 2; symbols fit the type
         bits[:, :n] = arr >> k & 1 if q > 2 else arr
         planes.append(np.packbits(bits, bitorder="little").view("<u8").reshape(count, -1).T)
     return np.stack(planes) if q > 2 else planes[0][None]  # one plane: no copy
@@ -391,21 +384,35 @@ def _popcount(masks: np.ndarray, n: int) -> np.ndarray:
     return count
 
 
-def _first_bad_tuple(
-    arr: np.ndarray, p: float, ell: int, L: int, q: int
-) -> Optional[BadnessCertificate]:
-    """First bad L-tuple of rows in lexicographic index order, or None.
+def _check_search(p: float, ell: int, q: int) -> float:
+    check_alphabet(q, ell)
+    return real(p, "p", 0.0, 1.0)
 
-    Depth first over ascending prefixes; a prefix with at least ell-1 rows
-    and two or more to add reads its rows from a pair table (module
-    docstring), and the children of a prefix of ell-2 rows read theirs from
-    one table with a leading axis of siblings.  Blocks hold about
-    _TABLE_BYTES of candidate bit planes, shared ones at most _SHARED_BYTES.
-    The DP decides the L-tuples that pass; when L <= ell+1 the test is
-    exact, and the DP only writes the first one's certificate.
+
+def contains_bad_matrix(
+    code: np.ndarray | Sequence[Sequence[int]], p: float, ell: int, L: int, q: int
+) -> tuple[bool, Optional[BadnessCertificate]]:
+    """Whether some L distinct codewords form a bad tuple, and the first such tuple's certificate.
+
+    The code is an (M, n) array or a sequence of distinct words.  Tuples
+    are tried depth first over ascending prefixes, in lexicographic order of
+    row indices, pruned by the (ell+1)-subset count test.  A prefix with at
+    least ell-1 rows and two or more to add reads its rows from a lazily
+    filled pair table (module docstring), and the children of a prefix of
+    ell-2 rows read theirs from one table with a leading axis of siblings.
+    Blocks hold about _TABLE_BYTES of candidate bit planes, shared ones at
+    most _SHARED_BYTES.  The DP decides the L-tuples that pass; when
+    L <= ell+1 the test is exact, and the DP only writes the first one's
+    certificate.  A tuple counts as tested when the count test checks its
+    last row against a surviving prefix of L-1 rows, whether or not the DP
+    then runs on it; for every ell, BudgetError is raised once SUBSET_BUDGET,
+    PAIR_BUDGET, STATE_BUDGET or DEPTH_BUDGET is passed.
     """
+    p = _check_search(p, ell, q)
+    integer(L, "L", 1)
+    arr = _code_array(code, q)
     if len(arr) < L:  # no L-tuple: nothing is tested, and no planes are built
-        return None
+        return False, None
     n = arr.shape[1]
     limit = (ell + 1) * math.floor(p * n)
     planes = _bit_planes(arr, q)
@@ -490,8 +497,10 @@ def _first_bad_tuple(
         return total
 
     def extend(prefix: list[int], cand: list[int], rows=None) -> Optional[BadnessCertificate]:
-        # ``cand``: ascending rows after the prefix that pass every test with it;
-        # ``rows``: the prefix's table, when a sibling pass built it.
+        # ``cand``: ascending rows after the prefix that pass every test with it, at
+        # least ``need``: the root has L, and each row passed on keeps need - 1 later
+        # ones (a sibling pass builds one table per trivial row); ``rows``: the
+        # prefix's table, when a sibling pass built it.
         nonlocal tested
         if len(prefix) == DEPTH_BUDGET:
             raise BudgetError(f"more than {DEPTH_BUDGET} rows in a search tuple")
@@ -499,11 +508,11 @@ def _first_bad_tuple(
         if need == 1:
             return next(filter(None, (is_bad_tuple(checked[prefix + [c]], p, ell, q)
                                       for c in cand)), None)
-        if rows is None and len(cand) >= need and len(prefix) >= ell - 1:
+        if rows is None and len(prefix) >= ell - 1:
             rows, = pair_table(prefix, cand, need - 1)
         elif rows is None:  # each row leaves enough later ones for a full tuple
             rows = ((k, cand[k + 1 :]) for k in range(len(cand) - need + 1))
-        siblings = len(prefix) == ell - 2 and need > 2 and len(cand) >= need
+        siblings = len(prefix) == ell - 2 and need > 2
         tables = pair_table(prefix, cand, need - 2, True) if siblings else None
         start = tested
         for k, later in rows:
@@ -517,34 +526,9 @@ def _first_bad_tuple(
         return None
 
     try:
-        return extend([], np.arange(len(arr)))
+        cert = extend([], np.arange(len(arr)))
     finally:  # extend calls itself: a cycle that would keep this search's arrays until gc
         del extend
-
-
-def _check_search(p: float, ell: int, q: int) -> float:
-    check_alphabet(q, ell)
-    return real(p, "p", 0.0, 1.0)
-
-
-def contains_bad_matrix(
-    code: np.ndarray | Sequence[Sequence[int]], p: float, ell: int, L: int, q: int
-) -> tuple[bool, Optional[BadnessCertificate]]:
-    """Whether some L distinct codewords of the code form a bad tuple.
-
-    The code is an (M, n) array or a sequence of distinct words.  Tuples
-    are tried in lexicographic order of row indices and the
-    first bad one is returned, pruned by the (ell+1)-subset count test,
-    which runs in one lazily filled pair table per search prefix, sibling
-    prefixes of ell-1 rows sharing one pass over their tables.  A tuple
-    counts as tested when the count test checks its last row against a
-    surviving prefix of L-1 rows, whether or not the DP then runs on it;
-    for every ell, BudgetError is raised once SUBSET_BUDGET, PAIR_BUDGET,
-    STATE_BUDGET or DEPTH_BUDGET is passed.
-    """
-    p = _check_search(p, ell, q)
-    integer(L, "L", 1)
-    cert = _first_bad_tuple(_code_array(code, q), p, ell, L, q)
     return cert is not None, cert
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -259,9 +260,13 @@ def list_of_two_rc_threshold(p: float) -> float:
 
 def _kl_estimates(ps: Sequence[float], ell: int, L: int, q: int) -> tuple[list[float], float]:
     """kl_estimate for each p of one checked (ell, L, q): the estimates, and their common band."""
-    band = q * math.log(L) / L
     r = 1.0 - ell / q
-    return [0.0 if r <= 0.0 or p >= r else _kl_q(p, r, q) for p in ps], band
+    estimates = [0.0 if r <= 0.0 or p >= r else _kl_q(p, r, q) for p in ps]
+    try:  # past 2**53, where floats stop holding q and L exactly, the exact band rounded once
+        band = q * math.log(L) / L if max(q, L) <= 2**53 else float(Fraction(math.log(L)) * q / L)
+    except OverflowError:
+        raise DomainError(f"the band q*ln(L)/L passes the floats at q={q}, L={L}") from None
+    return estimates, band
 
 
 def kl_estimate(query: ThresholdQuery) -> tuple[float, float]:
@@ -269,7 +274,8 @@ def kl_estimate(query: ThresholdQuery) -> tuple[float, float]:
 
     Returns 0 when p >= 1 - ell/q.  The band q * ln(L) / L is the shape of
     the approximation error; its constant is not pinned down, so the band
-    is reported as an uncalibrated scale (natural logarithm).
+    is reported as an uncalibrated scale (natural logarithm).  DomainError
+    when 1 - ell/q rounds to 1.0 in floats, or when the band passes them.
     """
     (estimate,), band = _kl_estimates([query.p], query.ell, query.L, query.q)
     return estimate, band

@@ -313,6 +313,9 @@ def test_unbounded_grids_exit_promptly(bounds, code):
         # r = 1 - ell/q rounds to 1.0, so the KL estimate has no domain.
         (["--q", "99999999999999999999", "--ell", "1", "--L", "3", "--p-min", "0.05",
           "--p-max", "0.2", "--p-step", "0.05"], "kl_q requires r strictly inside (0,1), got 1.0"),
+        # So does a q past the floats.
+        (["--q", str(10**400), "--ell", "1", "--L", "3", "--p-min", "0.05",
+          "--p-max", "0.2", "--p-step", "0.05"], "kl_q requires r strictly inside (0,1), got 1.0"),
     ],
 )
 def test_sweep_errors_keep_their_messages(capsys, argv, message):

@@ -45,6 +45,13 @@ _CALLS = {
 _OTHERS = {"BudgetError", "DomainError", "ValidationError", "__version__", "kl_estimate",
            "level_profile", "sample_random_code", "threshold_rate", "zero_error_threshold"}
 
+# The entry points each params dataclass of the table goes on through when it is accepted.
+_TAKERS = {
+    "ThresholdQuery": ("threshold_rate", "kl_estimate"),
+    "LevelSetParams": ("level_profile", "zero_error_threshold"),
+    "RandomCodeSpec": ("sample_random_code",),
+}
+
 
 # The only hostile values the rules accept.
 _BIG, _FRACTION, _FLOAT32 = 10**400, Fraction(1, 10), np.float32(0.1)
@@ -78,15 +85,17 @@ def test_hostile_arguments_get_an_answer_or_a_typed_error(monkeypatch, name):
     wrong = []
     for arg, kind in zip(valid, kinds.split()):
         for value in _hostile(kind):
+            stage = name
             try:
-                call(**{**valid, arg: value})
+                made = call(**{**valid, arg: value})
+                if not _may_pass(value):
+                    wrong.append((arg, repr(value), "accepted"))
+                for stage in _TAKERS.get(name, ()):
+                    getattr(codethresh, stage)(made)
             except (ValidationError, BudgetError):  # DomainError is a ValidationError
                 pass
             except Exception as exc:  # a bare exit, reported below
-                wrong.append((arg, repr(value), repr(exc)))
-            else:
-                if not _may_pass(value):
-                    wrong.append((arg, repr(value), "accepted"))
+                wrong.append((arg, repr(value), stage, repr(exc)))
     assert wrong == []
 
 

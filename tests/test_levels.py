@@ -173,11 +173,13 @@ def test_composition_budget_error():
 
 def test_count_bits_budget_error():
     # (L + 1) * L bits of counts at q = 2, L = 30000 exceeds the budget; the
-    # check comes before any partition is walked.
-    start = time.perf_counter()
-    with pytest.raises(BudgetError):
-        level_profile(LevelSetParams(2, 1, 30000))
-    assert time.perf_counter() - start < 0.5
+    # check comes before any partition is walked.  At L = 10**400, (L + 1) * L
+    # passes the floats.
+    for L in (30000, 10**400):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            level_profile(LevelSetParams(2, 1, L))
+        assert time.perf_counter() - start < 0.5
 
 
 def test_count_bits_budget_admits_large_profiles():

@@ -82,6 +82,9 @@ def test_q_ary_entropy_frozen_values():
     # maximum at x = 1 - 1/q
     assert q_ary_entropy(0.5, 2) == pytest.approx(1.0, abs=1e-14)
     assert q_ary_entropy(2 / 3, 3) == pytest.approx(1.0, abs=1e-14)
+    for x in (-0.1, 1.1):
+        with pytest.raises(DomainError):
+            q_ary_entropy(x, 2)
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6), st.integers(min_value=2, max_value=8))
@@ -101,6 +104,9 @@ def test_kl_frozen_values_and_edges():
         kl_q(0.5, 0.0, 2)
     with pytest.raises(DomainError):
         kl_q(0.5, 1.0, 2)
+    for s in (-0.1, 1.1):
+        with pytest.raises(DomainError):
+            kl_q(s, 0.5, 2)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=2, max_value=6))

@@ -77,6 +77,10 @@ def test_pushforward_rejects_rank_deficient_maps():
             _limit_tau(0.1),
             ((1, 1, 0), (0, 1, 1), (1, 0, 1)),  # rows sum to zero
         )
+    # 1 to 3 rows, each a binary triple.
+    for rows in ((), ((1, 0, 0),) * 4, ((0, 2, 1),), ((1, 0),)):
+        with pytest.raises(ValidationError):
+            implied_distribution(_limit_tau(0.1), rows)
 
 
 @given(st.floats(min_value=0.01, max_value=0.24))

@@ -1166,6 +1166,19 @@ def test_bit_planes_stage_one_plane_at_a_time():
         assert (bits[:, 8:] == 0).all() and (bits[:, :8] == arr >> k & 1).all()
 
 
+def test_bit_planes_stop_at_the_bits_of_the_word_type():
+    # Symbols fit their array's integer type, so a q past it adds no plane: the
+    # searches give the q = 2 answers, uint8 words at q = 2**300 and 2**64 and
+    # Python ints (int64) at q = 10**400.
+    words = np.array([[0, 1], [1, 0], [1, 1]], np.uint8)
+    assert _bit_planes(words, 2**300).shape == (8, 1, 3)
+    assert contains_bad_matrix(words, 0.5, 1, 3, 2**300) == contains_bad_matrix(words, 0.5, 1, 3, 2)
+    code = sample_random_code(RandomCodeSpec(16, 0.7, 2, 5))
+    binary = contains_bad_matrix(code, 0.05, 1, 3, 2)
+    assert contains_bad_matrix(code, 0.05, 1, 3, 2**64) == binary
+    assert contains_bad_matrix(code.tolist(), 0.05, 1, 3, 10**400) == binary
+
+
 def test_sweep_clamps_the_worker_count_to_the_cpus(monkeypatch):
     # The runner would fork one helper per share.  This stand-in records the
     # count and runs the shares in process, so nothing forks.
