@@ -302,10 +302,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         _put_json(envelope, out.append)
         print("".join(out))
 
-    if args.command == "verify":
-        if any(c["status"] != "PASS" for c in rows):
-            return 1
-    return 0
+    return int(args.command == "verify" and any(c["status"] != "PASS" for c in rows))
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import BudgetError, integer
+from .errors import BudgetError, integer, shown
 from .qmath import check_alphabet
 
 __all__ = ["LevelSetParams", "LevelProfile", "p_ell", "level_profile"]
@@ -72,7 +72,7 @@ def p_ell(v: Sequence[int], ell: int, q: int) -> int:
     sorts the histogram of v descending and subtracts the top-ell mass.
     """
     check_alphabet(q, ell)
-    span = f"ints in 0..{q - 1}"
+    span = f"ints in 0..{shown(q - 1)}"
     freq = Counter(integer(s, "symbols", 0, q - 1, span) for s in v)
     covered = sum(sorted(freq.values(), reverse=True)[:ell])
     return len(v) - covered
@@ -114,7 +114,7 @@ def level_profile(params: LevelSetParams) -> LevelProfile:
     bits = (L + 1) * L * math.log2(q) if L < COUNT_BITS_BUDGET else math.inf
     if bits > COUNT_BITS_BUDGET:
         raise BudgetError(
-            f"profile for q={q}, L={L} may hold {bits:.3g} bits of counts, "
+            f"profile for q={shown(q)}, L={shown(L)} may hold {bits:.3g} bits of counts, "
             f"over the budget of {COUNT_BITS_BUDGET}"
         )
     n_parts = _partition_count(L, q)

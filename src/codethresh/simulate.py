@@ -72,7 +72,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, integer, real
+from .errors import BudgetError, ValidationError, integer, real, shown
 from .qmath import check_alphabet
 
 __all__ = [
@@ -213,7 +213,7 @@ def _expected_size(n: int, rate: float, q: int) -> float:
         expected = math.inf
     if expected > SIZE_CAP:
         raise BudgetError(
-            f"(n={n}, rate={rate}): expected code size {expected:.3g} exceeds the cap {SIZE_CAP}"
+            f"(n={shown(n)}, rate={rate}): expected code size {expected:.3g} exceeds the cap {SIZE_CAP}"
         )
     return expected
 
@@ -351,7 +351,7 @@ def _code_array(code, q: int) -> np.ndarray:
             {bool, np.bool_} & set(map(type, itertools.chain(*code)))):
         raise ValidationError("codewords must be nonempty integer words of one length")
     if arr.min() < 0 or arr.max() >= q:
-        raise ValidationError(f"codeword symbols must lie in 0..{q - 1}")
+        raise ValidationError(f"codeword symbols must lie in 0..{shown(q - 1)}")
     if len(_unique_rows(arr)) != len(arr):
         raise ValidationError("code must consist of distinct codewords")
     return arr
@@ -633,18 +633,18 @@ def empirical_threshold_sweep(
     try:
         empty = 0 in (len(n_list), len(rate_grid))
     except TypeError:
-        raise ValidationError(f"need sequences of n and rates: {n_list!r}, {rate_grid!r}") from None
+        raise ValidationError(
+            f"need sequences of n and rates: {shown(n_list)}, {shown(rate_grid)}") from None
     # Each spec checks its n, its rate (stored as a float), q and the seed.
     specs = [RandomCodeSpec(n, rate, q, base_seed) for n in n_list for rate in rate_grid]
     points, rates = [(s.n, s.rate) for s in specs], [s.rate for s in specs[: len(rate_grid)]]
     if empty or len(set(n_list)) != len(n_list) or any(a >= b for a, b in zip(rates, rates[1:])):
-        raise ValidationError(
-            f"need distinct n, strictly increasing rates, neither empty: {n_list}, {rate_grid}"
-        )
+        raise ValidationError("need distinct n, strictly increasing rates, neither empty: "
+                              f"{shown(n_list, str)}, {rate_grid}")
     for n, rate in points:
         _expected_size(n, rate, q)
     if trials * len(points) > TRIAL_BUDGET:
-        raise BudgetError(f"{trials} trials x {len(points)} points exceed the cap {TRIAL_BUDGET}")
+        raise BudgetError(f"{shown(trials)} trials x {len(points)} points exceed the cap {TRIAL_BUDGET}")
 
     def share(w: int, stride: int) -> list[int]:
         # Largest expected code q^{n*rate} first: in the given order a helper peaks higher.

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, integer, real
+from .errors import DomainError, ValidationError, integer, real, shown
 from .levels import LevelProfile, LevelSetParams, level_profile
 from .qmath import _kl_q, check_alphabet, q_ary_entropy
 
@@ -145,49 +145,41 @@ def _solve_dual(
     Safeguarded Newton on g' (rtsafe, Numerical Recipes 9.4) from alpha = 0
     inside the bracket [lo, 0]: a Newton step that leaves the bracket, or
     that is more than half the step before it, is replaced by bisection.
-    Each row keeps the least g and the largest certified lower bound over
-    its iterates, and stops once their gap is at most eps * L or its next
-    iterate equals the current one.  Returns (beta, alpha, gap / L), beta
-    being the least g and alpha where it was attained.  A row whose g'(0)
-    is <= 0 in floats although pL < t* exactly returns the continuity
-    limit (L, 0, 0): the minimizer lies within rounding of alpha = 0.
+    Each row keeps the least g and the largest certified lower bound over its
+    iterates, and stops once their gap is at most eps * L or its next iterate
+    equals the current one.  Rows keep their place in every array, stopped
+    ones frozen, and only live rows are evaluated.  Returns (beta, alpha,
+    gap / L), beta being the least g and alpha where it was attained.  A row
+    whose g'(0) is <= 0 in floats although pL < t* exactly returns the
+    continuity limit (L, 0, 0): the minimizer lies within rounding of 0.
     """
     L = profile.params.L
     p_l = p * L
     lo, evaluate = _dual(profile, p)
-    alpha = np.zeros_like(p_l)
+    alpha = best = hi = np.zeros_like(p_l)  # every update below builds a new array
     g, grad, curv, lower = evaluate(alpha, p_l)
-    limit = grad <= 0.0
-    upper = np.where(limit, float(L), g)
-    lower = np.where(limit, float(L), lower)
-    best = alpha.copy()
-    hi = np.zeros_like(lo)
+    upper, lower = np.where(grad <= 0.0, float(L), [g, lower])  # the limit rows
     step_old = hi - lo
     live = upper - lower > eps * L
     while live.any():
-        rows = np.flatnonzero(live)
-        a, f, df = alpha[rows], grad[rows], curv[rows]
-        left, right = lo[rows], hi[rows]
         # rtsafe's test: take Newton only if its step is at most half the last
         # one, checked before dividing so that a tiny g'' cannot overflow.
-        fast = (df > 0.0) & (np.abs(f) <= 0.5 * step_old[rows] * df)
-        step = np.divide(f, df, out=np.zeros_like(f), where=fast)
-        newton = a - step
-        take = fast & (newton > left) & (newton < right)
-        half = 0.5 * (right - left)
-        nxt = np.where(take, newton, left + half)
-        step_old[rows] = np.where(take, np.abs(step), half)
-        moved = nxt != a
-        live[rows[~moved]] = False
-        rows, nxt = rows[moved], nxt[moved]
-        g, f, df, low = evaluate(nxt, p_l[rows])
-        alpha[rows], grad[rows], curv[rows] = nxt, f, df
-        lo[rows] = np.where(f < 0.0, nxt, lo[rows])
-        hi[rows] = np.where(f < 0.0, hi[rows], nxt)
-        best[rows] = np.where(g < upper[rows], nxt, best[rows])
-        upper[rows] = np.minimum(upper[rows], g)
-        lower[rows] = np.maximum(lower[rows], low)
-        live[rows] = upper[rows] - lower[rows] > eps * L
+        fast = (curv > 0.0) & (np.abs(grad) <= 0.5 * step_old * curv)
+        step = np.divide(grad, curv, out=np.zeros_like(grad), where=fast)
+        newton = alpha - step
+        take = fast & (newton > lo) & (newton < hi)
+        half = 0.5 * (hi - lo)
+        nxt = np.where(take, newton, lo + half)
+        step_old = np.where(take, np.abs(step), half)
+        live &= nxt != alpha
+        alpha = np.where(live, nxt, alpha)
+        g, low = upper.copy(), lower.copy()
+        g[live], grad[live], curv[live], low[live] = evaluate(alpha[live], p_l[live])
+        lo, hi = np.where(grad < 0.0, alpha, lo), np.where(grad < 0.0, hi, alpha)
+        best = np.where(g < upper, alpha, best)
+        upper = np.minimum(upper, g)
+        lower = np.maximum(lower, low)
+        live &= upper - lower > eps * L
     return np.clip(upper, 0.0, float(L)), best, np.maximum(upper - lower, 0.0) / L
 
 
@@ -265,7 +257,8 @@ def _kl_estimates(ps: Sequence[float], ell: int, L: int, q: int) -> tuple[list[f
     try:  # past 2**53, where floats stop holding q and L exactly, the exact band rounded once
         band = q * math.log(L) / L if max(q, L) <= 2**53 else float(Fraction(math.log(L)) * q / L)
     except OverflowError:
-        raise DomainError(f"the band q*ln(L)/L passes the floats at q={q}, L={L}") from None
+        raise DomainError(
+            f"the band q*ln(L)/L passes the floats at q={shown(q)}, L={shown(L)}") from None
     return estimates, band
 
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import codethresh
 import codethresh.solver
+import codethresh.verification
 from codethresh import cli
 from codethresh.cli import run
 
@@ -187,7 +188,7 @@ def test_verify_quick_passes(capsys):
     assert all(r["status"] == "PASS" for r in rows)
 
 
-def test_verify_fails_on_a_miscounted_solver_profile(capsys, monkeypatch):
+def _skew_solver_profile(monkeypatch):
     # One log-count off by 1e-3 in the profile the solver reads; the
     # enclosure reads the exact counts, so its row must catch it.
     real = codethresh.solver.level_profile
@@ -199,13 +200,43 @@ def test_verify_fails_on_a_miscounted_solver_profile(capsys, monkeypatch):
         return dataclasses.replace(profile, log_counts=tuple(logs))
 
     monkeypatch.setattr(codethresh.solver, "level_profile", skewed)
+
+
+def _skew_level_counts(monkeypatch):
+    # |D_0| off by one at q = 5, which the level-count check reads and the
+    # enclosure grid (q <= 4) does not.
+    real = codethresh.verification.level_profile
+
+    def skewed(params):
+        profile = real(params)
+        if params.q != 5:
+            return profile
+        return dataclasses.replace(profile, counts=(profile.counts[0] + 1, *profile.counts[1:]))
+
+    monkeypatch.setattr(codethresh.verification, "level_profile", skewed)
+
+
+def _skew_dp(monkeypatch):
+    # Every tuple called bad, by a certificate that cannot recheck: a good
+    # tuple is a mismatch, and a bad one a failed recheck.
+    real = codethresh.verification.is_bad_tuple
+    monkeypatch.setattr(codethresh.verification, "is_bad_tuple", lambda columns, p, ell, q:
+                        dataclasses.replace(real(columns, 1.0, ell, q), budget=-1))
+
+
+@pytest.mark.parametrize("skew, failing", [
+    (_skew_solver_profile, "solver_vs_enclosure"),
+    (_skew_level_counts, "level_counts_vs_enumeration"),
+    (_skew_dp, "dp_vs_brute_force"),
+], ids=["solver_profile", "level_counts", "dp"])
+def test_verify_fails_on_a_skewed_check(capsys, monkeypatch, skew, failing):
+    skew(monkeypatch)
     code, out, _ = _capture(capsys, ["verify", "--quick", "--format", "csv"])
     status = {r["check"]: r["status"] for r in csv.DictReader(io.StringIO(out))}
     assert code == 1
     assert status == {
-        "level_counts_vs_enumeration": "PASS",
-        "solver_vs_enclosure": "FAIL",
-        "dp_vs_brute_force": "PASS",
+        check: "FAIL" if check == failing else "PASS"
+        for check in ("level_counts_vs_enumeration", "solver_vs_enclosure", "dp_vs_brute_force")
     }
 
 

@@ -53,12 +53,12 @@ _TAKERS = {
 }
 
 
-# The only hostile values the rules accept.
-_BIG, _FRACTION, _FLOAT32 = 10**400, Fraction(1, 10), np.float32(0.1)
+# The only hostile values the rules accept; _HUGE passes the interpreter's int-to-str digit limit.
+_BIG, _HUGE, _FRACTION, _FLOAT32 = 10**400, 10**5000, Fraction(1, 10), np.float32(0.1)
 
 
 def _hostile(kind: str) -> list:
-    ints = [True, 2.0, np.int64(2), "2", None, -1, _BIG]
+    ints = [True, 2.0, np.int64(2), "2", None, -1, _BIG, _HUGE, -_HUGE]
     reals = [None, "0.1", Decimal("0.1"), True, math.nan, math.inf, -math.inf, _FRACTION, _FLOAT32]
     seqs = [None, 5, (w for w in _WORDS), "ab", []]
     if kind in ("ints", "reals"):
@@ -69,7 +69,7 @@ def _hostile(kind: str) -> list:
 def _may_pass(value) -> bool:
     if isinstance(value, list):
         return all(map(_may_pass, value))
-    return any(value is x for x in (_BIG, _FRACTION, _FLOAT32))
+    return any(value is x for x in (_BIG, _HUGE, _FRACTION, _FLOAT32))
 
 
 def test_the_table_covers_every_root_name():

@@ -43,6 +43,10 @@ def test_p_ell_names_the_symbol_rule():
     # np.int64(0) lies in 0..1; what it breaks is the type, and the message says so.
     with pytest.raises(ValidationError, match=r"must be ints in 0\.\.1, got np\.int64\(0\)"):
         p_ell([np.int64(0)], 1, 2)
+    # q past the interpreter's int-to-str digit limit: the range names q - 1 by its bit count.
+    assert p_ell([0, 1], 1, 10**5000) == 1
+    with pytest.raises(ValidationError, match=r"ints in 0\.\.<16610-bit int>, got -1"):
+        p_ell([-1], 1, 10**5000)
 
 
 @given(

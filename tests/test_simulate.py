@@ -72,6 +72,7 @@ def test_trial_seed_is_deterministic_and_spread():
     (1.0, 10, 0.2, 0), (0, -3, 0.2, 0), (0, 0, 0.2, 0), (0, True, 0.2, 0), (0, 10.0, 0.2, 0),
     (0, 10, -0.1, 0), (0, 10, 1.5, 0), (0, 10, math.nan, 0), (0, 10, True, 0), (0, 10, "0.2", 0),
     (0, 10, None, 0), (0, 10, 0.2, -1), (0, 10, 0.2, 1.0), (0, 10, 0.2, False),
+    (10**5000, 10, 0.2, 0),
 ])
 def test_trial_seed_refuses_what_the_argument_rule_refuses(args):
     # -1 would alias 2**64 - 1 under a 64-bit mask, and True would alias 1.
@@ -612,6 +613,8 @@ def test_contains_bad_matrix_validates_array_input():
         contains_bad_matrix(np.vstack([code, code[:1]]), p=0.1, ell=1, L=3, q=2)
     with pytest.raises(ValidationError):
         contains_bad_matrix(code + 1, p=0.1, ell=1, L=3, q=2)
+    with pytest.raises(ValidationError, match=r"0\.\.<16610-bit int>"):  # q past the digit limit
+        contains_bad_matrix([(0, -1), (1, 0)], p=0.1, ell=1, L=2, q=10**5000)
     with pytest.raises(ValidationError):
         contains_bad_matrix([(0, 1), (1,)], p=0.1, ell=1, L=3, q=2)
     # 70 binary symbols are too many to pack; rows 0 and 1 share the first 64.

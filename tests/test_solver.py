@@ -222,6 +222,9 @@ def test_kl_estimate_frozen_and_degenerate():
     assert est == 0.0
     est, _ = kl_estimate(ThresholdQuery(0.6, 1, 3, 2))
     assert est == 0.0
+    # q past 2**1024: the band q*ln(L)/L is no float
+    with pytest.raises(DomainError, match="passes the floats"):
+        kl_estimate(ThresholdQuery(0.1, 2**1100, 3, 2**1100))
 
 
 def test_kl_estimate_tracks_exact_threshold_at_moderate_L():
